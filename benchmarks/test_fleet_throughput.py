@@ -1,11 +1,9 @@
-"""Fleet throughput — both data planes at 1, 2, and 4 workers.
+"""Fleet throughput at 1, 2, and 4 workers.
 
 The fleet subsystem's reason to exist: the 1,000-execution protocol was
 the slowest path in the repo because ``campaign.py`` ran every execution
 serially in one interpreter.  This bench times the same campaign through
-``run_fleet`` across the full wire × workers matrix — the fully-pickled
-legacy plane against the shared-memory plane (zero-copy evidence +
-binary result rows) — and records per-row throughput and
+``run_fleet`` at each worker count and records per-row throughput and
 speedup-vs-serial into ``BENCH_fleet.json``.
 
 CPU accounting uses ``os.sched_getaffinity`` (not ``os.cpu_count``) so
@@ -13,11 +11,11 @@ a CI leg pinned with ``taskset -c 0,1`` gates against the cores it can
 actually use.  On a single-core runner no worker count can beat serial
 (the work is CPU-bound and identical), so the speedup assertions gate
 only where the hardware can express them; what gates everywhere is
-correctness — byte-identical aggregated results across every wire and
-worker count — and bounded parallel overhead.
+correctness — byte-identical aggregated results across every worker
+count — and bounded parallel overhead.
 
-``speedup_floor`` in the payload is the ratchet: the 2-worker shm-wire
-speedup a multi-core runner must reach (CI fails below it).
+``speedup_floor`` in the payload is the ratchet: the 2-worker speedup
+a multi-core runner must reach (CI fails below it).
 """
 
 import json
@@ -28,13 +26,12 @@ import time
 from conftest import once
 
 from repro.experiments.campaign import wilson_interval
-from repro.fleet import WIRE_PICKLE, WIRE_SHM, run_fleet, shm_supported
+from repro.fleet import run_fleet
 
 APP = "libtiff"
 EXECUTIONS = 32
 WORKER_COUNTS = (1, 2, 4)
-WIRES_UNDER_TEST = (WIRE_PICKLE, WIRE_SHM)
-# The 2-worker shm-wire speedup a >=2-core runner must reach.
+# The 2-worker speedup a >=2-core runner must reach.
 SPEEDUP_FLOOR = 1.2
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -47,30 +44,25 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _timed_fleet(wire: str, workers: int):
+def _timed_fleet(workers: int):
     start = time.perf_counter()
-    result = run_fleet(APP, executions=EXECUTIONS, workers=workers, wire=wire)
+    result = run_fleet(APP, executions=EXECUTIONS, workers=workers)
     return result, time.perf_counter() - start
 
 
 def test_fleet_throughput(benchmark, artifact):
     def run():
         run_fleet(APP, executions=2, workers=1)  # warm app/schedule caches
-        return {
-            (wire, workers): _timed_fleet(wire, workers)
-            for wire in WIRES_UNDER_TEST
-            for workers in WORKER_COUNTS
-        }
+        return {workers: _timed_fleet(workers) for workers in WORKER_COUNTS}
 
     runs = once(benchmark, run)
-    serial, serial_s = runs[(WIRE_PICKLE, 1)]
+    serial, serial_s = runs[1]
 
-    # Neither parallelism nor the wire may change what the fleet finds.
+    # Parallelism may not change what the fleet finds.
     serial_dict = serial.aggregator.to_dict()
-    for (wire, workers), (result, _) in runs.items():
+    for workers, (result, _) in runs.items():
         assert result.aggregator.to_dict() == serial_dict, (
-            f"aggregated results at wire={wire} workers={workers} "
-            f"diverged from serial pickle"
+            f"aggregated results at workers={workers} diverged from serial"
         )
         assert result.detections == serial.detections
 
@@ -80,14 +72,12 @@ def test_fleet_throughput(benchmark, artifact):
 
     rows = []
     lines = [
-        f"fleet throughput: {APP} x {EXECUTIONS} executions "
-        f"({cpus} cpus, shm {'yes' if shm_supported() else 'NO'})"
+        f"fleet throughput: {APP} x {EXECUTIONS} executions ({cpus} cpus)"
     ]
-    for (wire, workers), (result, seconds) in runs.items():
+    for workers, (result, seconds) in runs.items():
         speedup = serial_s / seconds if seconds else float("inf")
         rows.append(
             {
-                "wire": wire,
                 "workers": workers,
                 "seconds": round(seconds, 3),
                 "execs_per_sec": round(EXECUTIONS / seconds, 2),
@@ -95,7 +85,7 @@ def test_fleet_throughput(benchmark, artifact):
             }
         )
         lines.append(
-            f"  {wire:>6} wire, {workers} worker(s): {seconds:8.3f} s "
+            f"  {workers} worker(s): {seconds:8.3f} s "
             f"({EXECUTIONS / seconds:6.1f} exec/s, {speedup:.2f}x vs serial)"
         )
     lines += [
@@ -106,20 +96,17 @@ def test_fleet_throughput(benchmark, artifact):
     ]
     artifact("fleet_throughput.txt", "\n".join(lines))
 
-    def row(wire, workers):
-        return next(
-            r for r in rows if r["wire"] == wire and r["workers"] == workers
-        )
+    def row(workers):
+        return next(r for r in rows if r["workers"] == workers)
 
-    shm_two = row(WIRE_SHM, 2)
+    two = row(2)
     payload = {
         "benchmark": "fleet",
         "app": APP,
         "executions": EXECUTIONS,
         "cpus": cpus,
-        "shm_supported": shm_supported(),
         "rows": rows,
-        "speedup_parallel_vs_serial": shm_two["speedup_vs_serial"],
+        "speedup_parallel_vs_serial": two["speedup_vs_serial"],
         "speedup_floor": SPEEDUP_FLOOR,
         "detection": {
             "detected": hits,
@@ -128,7 +115,6 @@ def test_fleet_throughput(benchmark, artifact):
         },
         "unique_reports": serial.aggregator.unique_reports(),
         "identical_results_across_workers": True,
-        "identical_results_across_wires": True,
     }
     (REPO_ROOT / "BENCH_fleet.json").write_text(
         json.dumps(payload, indent=2) + "\n"
@@ -143,12 +129,7 @@ def test_fleet_throughput(benchmark, artifact):
         assert entry["seconds"] < serial_s * 2.0, entry
     # Where the hardware has the cores, parallelism must actually pay —
     # this is the ratchet the taskset-pinned CI leg enforces.
-    if cpus >= 2 and shm_supported():
-        assert shm_two["speedup_vs_serial"] >= SPEEDUP_FLOOR, rows
-        # The shm wire exists to beat the pickle wire's dispatch
-        # overhead; it must never be materially slower at equal width.
-        assert shm_two["seconds"] <= row(WIRE_PICKLE, 2)["seconds"] * 1.15, rows
+    if cpus >= 2:
+        assert two["speedup_vs_serial"] >= SPEEDUP_FLOOR, rows
     if cpus >= 4:
-        assert (
-            row(WIRE_SHM, 4)["seconds"] <= shm_two["seconds"] * 1.1
-        ), rows
+        assert row(4)["seconds"] <= two["seconds"] * 1.1, rows

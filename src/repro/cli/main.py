@@ -91,15 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=60.0, help="per-execution timeout (s)"
     )
     fleet.add_argument(
-        "--wire",
-        default=None,
-        help=(
-            "coordinator<->worker data plane: 'shm' (shared-memory "
-            "segments + binary result rows, the default) or 'pickle' "
-            "(fully-pickled legacy plane); results are byte-identical"
-        ),
-    )
-    fleet.add_argument(
         "--out",
         default="fleet-out",
         help="directory for telemetry.jsonl / aggregate.json / evidence.json",
@@ -483,15 +474,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from repro.fleet.shm import WIRES
-
-    if args.wire is not None and args.wire not in WIRES:
-        print(
-            f"repro fleet: error: --wire must be one of "
-            f"{'/'.join(sorted(WIRES))}, got {args.wire!r}",
-            file=sys.stderr,
-        )
-        return 2
 
     from repro.fleet import (
         EvidenceStore,
@@ -518,7 +500,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             event_log=log,
             timeout_seconds=args.timeout,
             chunk_size=args.chunk_size,
-            wire=args.wire,
         )
     aggregate_path = os.path.join(args.out, "aggregate.json")
     with open(aggregate_path, "w") as handle:

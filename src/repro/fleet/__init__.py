@@ -11,12 +11,6 @@ propagates canary detections to later executions
 (:mod:`repro.fleet.evidence_store`), and campaign telemetry
 (:mod:`repro.fleet.telemetry`) — orchestrated deterministically by
 :func:`repro.fleet.runner.run_fleet`.
-
-Two interchangeable data planes carry coordinator↔worker traffic: the
-default shared-memory wire (:mod:`repro.fleet.shm` segments +
-:mod:`repro.fleet.wire` binary result rows) and the fully-pickled
-legacy wire — selected per campaign via ``wire="shm"|"pickle"``, with
-byte-identical aggregated output either way.
 """
 
 from repro.fleet.aggregate import (
@@ -27,7 +21,6 @@ from repro.fleet.aggregate import (
 )
 from repro.fleet.evidence_store import EvidenceStore, TemporaryEvidenceStore
 from repro.fleet.pool import FleetPool, WaveResult, execute_spec, run_chunk
-from repro.fleet.shm import WIRE_PICKLE, WIRE_SHM, WIRES, shm_supported
 from repro.fleet.runner import (
     FleetCampaign,
     FleetRunResult,
@@ -67,9 +60,6 @@ __all__ = [
     "PartialAggregate",
     "ReportRecord",
     "TemporaryEvidenceStore",
-    "WIRES",
-    "WIRE_PICKLE",
-    "WIRE_SHM",
     "WaveProgress",
     "WaveResult",
     "WorkChunk",
@@ -78,5 +68,4 @@ __all__ = [
     "render_fleet_report",
     "run_chunk",
     "run_fleet",
-    "shm_supported",
 ]

@@ -97,20 +97,6 @@ class PartialAggregate:
                 self.first_seen[signature] = result.index
                 self.first_seen_spec[signature] = (result.app, result.seed)
 
-    @classmethod
-    def refold(cls, results) -> "PartialAggregate":
-        """Fold an iterable of results into a fresh partial.
-
-        The shm wire's decode path: binary result rows are hydrated
-        into :class:`ExecutionResult`s and refolded coordinator-side —
-        :meth:`observe` is deterministic in result order, so the refold
-        equals the fold the worker would have shipped, minus the pickle.
-        """
-        partial = cls()
-        for result in results:
-            partial.observe(result)
-        return partial
-
     # ------------------------------------------------------------------
     # Merge (coordinator side)
     # ------------------------------------------------------------------

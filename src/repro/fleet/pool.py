@@ -78,16 +78,6 @@ from repro.core import CSODConfig, CSODRuntime
 from repro.core.sampling import context_signature
 from repro.errors import CampaignCancelled, InvalidFreeError
 from repro.fleet.aggregate import PartialAggregate
-from repro.fleet.shm import (
-    WIRE_PICKLE,
-    WIRE_SHM,
-    WIRES,
-    BlobHandle,
-    SegmentFull,
-    ShmDataPlane,
-    WorkerPlane,
-    shm_supported,
-)
 from repro.fleet.specs import (
     OUTCOME_CRASH,
     OUTCOME_OK,
@@ -100,17 +90,10 @@ from repro.fleet.specs import (
     WorkChunk,
     lean_from,
 )
-from repro.fleet.wire import decode_chunk_outcome, encode_chunk_outcome
 from repro.workloads.base import SimProcess
 from repro.workloads.buggy import app_for
 
 DEFAULT_TIMEOUT_SECONDS = 60.0
-
-# The pool-level default data plane.  "shm" is the fast path: shared
-# evidence/context segments + binary result rows; "pickle" is the
-# fully-pickled legacy plane, kept as a config fallback (and used
-# automatically wherever shared memory is unsupported).
-DEFAULT_WIRE = WIRE_SHM
 
 
 # ----------------------------------------------------------------------
@@ -122,34 +105,15 @@ DEFAULT_WIRE = WIRE_SHM
 _WORKER_CAMPAIGN: Dict[str, object] = {
     "base_evidence": frozenset(),
     "shipped": set(),
-    "plane": None,
-    "plane_error": None,
 }
 
 
 def _init_worker(
-    apps: Tuple[str, ...],
-    base_evidence: Tuple[str, ...],
-    shm_names: Optional[dict] = None,
+    apps: Tuple[str, ...], base_evidence: Tuple[str, ...]
 ) -> None:
-    """Per-process warm-up: campaign evidence base + app caches.
-
-    With ``shm_names`` the worker also attaches the shared data plane:
-    the evidence and context-registry segments, plus one result ring
-    claimed atomically (first worker to create the claim segment owns
-    the ring).  Attach failures never break worker start-up — they are
-    remembered and raised by the first shm chunk instead, which rides
-    the normal crash/retry path.
-    """
+    """Per-process warm-up: campaign evidence base + app caches."""
     _WORKER_CAMPAIGN["base_evidence"] = frozenset(base_evidence)
     _WORKER_CAMPAIGN["shipped"] = set()
-    _WORKER_CAMPAIGN["plane"] = None
-    _WORKER_CAMPAIGN["plane_error"] = None
-    if shm_names is not None:
-        try:
-            _WORKER_CAMPAIGN["plane"] = WorkerPlane(shm_names)
-        except Exception as exc:  # noqa: BLE001 — see docstring
-            _WORKER_CAMPAIGN["plane_error"] = _describe(exc)
     for name in apps:
         try:
             app_for(name)
@@ -304,50 +268,14 @@ def run_chunk(
     return outcome
 
 
-def _execute_chunk(chunk: WorkChunk):
-    """The worker-side entry point for both wires.
-
-    ``wire="pickle"``: reconstruct evidence as ``base | delta`` and
-    return the pickled :class:`ChunkOutcome`, exactly as always.
-
-    ``wire="shm"``: read evidence straight out of the shared segment
-    (up to the chunk's published slot count — the same set the delta
-    would have reconstructed, so detection is byte-identical), fold the
-    fleet-wide context registry into the shipped-set, and answer with a
-    :class:`BlobHandle` pointing at the binary-encoded outcome in this
-    worker's result ring (or carrying it inline when the ring is
-    unavailable).
-    """
-    shipped: Set[str] = _WORKER_CAMPAIGN["shipped"]
-    if chunk.wire == WIRE_SHM:
-        plane: Optional[WorkerPlane] = _WORKER_CAMPAIGN.get("plane")
-        if plane is None:
-            raise RuntimeError(
-                "shm data plane unavailable in worker: "
-                f"{_WORKER_CAMPAIGN.get('plane_error') or 'not attached'}"
-            )
-        evidence = plane.evidence_at(chunk.evidence_slots)
-        plane.refresh_shipped(shipped)
-        outcome = run_chunk(
-            chunk.specs,
-            evidence,
-            shipped,
-            retry_crashed=chunk.retry_crashed,
-            base_attempts=chunk.attempts,
-        )
-        payload = encode_chunk_outcome(
-            outcome.results,
-            outcome.partial.contexts,
-            outcome.crashes,
-            outcome.retries,
-        )
-        return plane.ship(payload)
+def _execute_chunk(chunk: WorkChunk) -> ChunkOutcome:
+    """The worker-side entry point: evidence is ``base | delta``."""
     base = _WORKER_CAMPAIGN["base_evidence"]
     evidence = frozenset(base | set(chunk.evidence_delta))
     return run_chunk(
         chunk.specs,
         evidence,
-        shipped,
+        _WORKER_CAMPAIGN["shipped"],
         retry_crashed=chunk.retry_crashed,
         base_attempts=chunk.attempts,
     )
@@ -409,34 +337,15 @@ class FleetPool:
         timeout_seconds: Optional[float] = DEFAULT_TIMEOUT_SECONDS,
         retry_crashed: bool = True,
         chunk_size: Optional[int] = None,
-        wire: Optional[str] = None,
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if wire is None:
-            wire = DEFAULT_WIRE
-        if wire not in WIRES:
-            raise ValueError(
-                f"wire must be one of {list(WIRES)}, got {wire!r}"
-            )
         self.workers = workers
         self.timeout_seconds = timeout_seconds
         self.retry_crashed = retry_crashed
         self.chunk_size = chunk_size
-        self.wire = wire
-        # The wire actually driving chunks right now: downgrades to
-        # "pickle" (per-campaign) if shared memory is unsupported, a
-        # segment cannot be created, or the evidence segment fills.
-        self._wire_active = (
-            wire if wire == WIRE_PICKLE or shm_supported() else WIRE_PICKLE
-        )
-        self.wire_downgrades = 0 if self._wire_active == wire else 1
-        self._plane: Optional[ShmDataPlane] = None
-        # Signatures already published to the shared context registry.
-        self._registry_shipped: Set[str] = set()
-        self._registry_full = False
         self.crashes = 0
         self.timeouts = 0
         self.retries = 0
@@ -487,11 +396,6 @@ class FleetPool:
     def evidence_epoch(self) -> int:
         return self._evidence_epoch
 
-    @property
-    def active_wire(self) -> str:
-        """The wire currently carrying chunks ("shm" may downgrade)."""
-        return self._wire_active
-
     def set_evidence_base(self, signatures: Iterable[str]) -> None:
         """Install the campaign-start snapshot (shipped to workers once).
 
@@ -517,19 +421,6 @@ class FleetPool:
         if new:
             self._evidence_delta |= new
             self._evidence_epoch += 1
-            if self._plane is not None and self._wire_active == WIRE_SHM:
-                try:
-                    self._plane.evidence_append(
-                        sorted(new), self._evidence_epoch
-                    )
-                except SegmentFull:
-                    # The segment is sized for far more evidence than a
-                    # campaign produces, but full is full: later chunks
-                    # ride the pickle wire (workers hold base from the
-                    # initializer, the chunk carries the delta) — same
-                    # evidence set, so detection is unchanged.
-                    self._wire_active = WIRE_PICKLE
-                    self.wire_downgrades += 1
         return self._evidence_epoch
 
     def _full_evidence(self) -> FrozenSet[str]:
@@ -565,20 +456,8 @@ class FleetPool:
         return self._run_parallel(specs)
 
     def close(self) -> None:
-        """Tear down the executor AND unlink every shm segment.
-
-        Idempotent.  This is the segment-lifecycle boundary: normal
-        completion, cancellation (:func:`run_fleet` always finishes
-        with ``close()``), and abandoned pools (via the plane's
-        pid-guarded GC finalizer) all funnel through here, so no
-        ``/dev/shm`` name outlives the campaign.
-        """
+        """Terminate the executor's worker processes (idempotent)."""
         self._dispose()
-        if self._plane is not None:
-            self._plane.unlink()
-            self._plane = None
-            self._registry_shipped = set()
-            self._registry_full = False
 
     def __enter__(self) -> "FleetPool":
         return self
@@ -590,17 +469,6 @@ class FleetPool:
     # Parallel path
     # ------------------------------------------------------------------
     def _run_parallel(self, specs: List[ExecutionSpec]) -> WaveResult:
-        if self._wire_active == WIRE_SHM and self._plane is None:
-            try:
-                self._plane = ShmDataPlane.create(
-                    rings=max(1, self.workers),
-                    evidence=sorted(self._full_evidence()),
-                )
-            except Exception:  # noqa: BLE001 — any creation failure
-                # (ENOSPC on /dev/shm, oversized base evidence, …)
-                # downgrades the whole campaign to the pickle wire.
-                self._wire_active = WIRE_PICKLE
-                self.wire_downgrades += 1
         self._apps = tuple(
             sorted(set(self._apps) | {spec.app for spec in specs})
         )
@@ -640,9 +508,7 @@ class FleetPool:
                     )
                 pending, future, deadline = in_flight.popleft()
                 try:
-                    outcome = self._materialize(
-                        self._await_result(future, deadline)
-                    )
+                    outcome = self._await_result(future, deadline)
                     self.crashes += outcome.crashes
                     self.retries += outcome.retries
                     self._ingest(outcome, results, partial)
@@ -680,59 +546,18 @@ class FleetPool:
         return WaveResult([results[spec.index] for spec in specs], partial)
 
     def _build_chunk(self, pending: _Pending) -> WorkChunk:
-        """One dispatchable chunk on whichever wire is active.
+        """One dispatchable chunk carrying the wave's evidence delta.
 
         Evidence only advances between waves, so every chunk built
-        during a wave (including timeout/crash requeues) sees the same
-        epoch, slot count, and delta — worker scheduling cannot leak
-        into detection outcomes on either wire.
+        during a wave (including timeout/crash requeues) carries the
+        same delta — worker scheduling cannot leak into detection
+        outcomes.
         """
-        if self._wire_active == WIRE_SHM and self._plane is not None:
-            return WorkChunk(
-                specs=pending.specs,
-                evidence_epoch=self._evidence_epoch,
-                attempts=pending.attempts,
-                retry_crashed=self.retry_crashed,
-                wire=WIRE_SHM,
-                evidence_slots=self._plane.evidence_slots,
-            )
         return WorkChunk(
             specs=pending.specs,
-            evidence_epoch=self._evidence_epoch,
             evidence_delta=tuple(sorted(self._evidence_delta)),
             attempts=pending.attempts,
             retry_crashed=self.retry_crashed,
-        )
-
-    def _materialize(self, raw) -> ChunkOutcome:
-        """Turn a worker's answer into a ChunkOutcome, either wire.
-
-        Pickle chunks already arrive as outcomes.  Shm chunks arrive as
-        a :class:`BlobHandle`; the bytes are fetched from the worker's
-        ring (verified by magic/length/sequence), decoded, and the
-        partial aggregate refolded from the decoded rows — associative,
-        so downstream merging is byte-identical to the pickle wire.  A
-        fetch/decode failure raises and rides the existing
-        dispatch-failure path (the chunk's specs get one pool retry).
-        """
-        if isinstance(raw, ChunkOutcome):
-            return raw
-        if not isinstance(raw, BlobHandle):
-            raise TypeError(
-                f"worker answered with {type(raw).__name__}, expected a "
-                f"ChunkOutcome or BlobHandle"
-            )
-        if self._plane is None:
-            raise RuntimeError("blob handle arrived with no shm plane attached")
-        payload = self._plane.fetch(raw)
-        leans, contexts, crashes, retries = decode_chunk_outcome(payload)
-        for signature, frames in contexts.items():
-            self._context_registry.setdefault(signature, frames)
-        partial = PartialAggregate.refold(
-            lean.hydrate(self._context_registry) for lean in leans
-        )
-        return ChunkOutcome(
-            results=leans, partial=partial, crashes=crashes, retries=retries
         )
 
     # Poll slice while waiting on a chunk future: long enough to stay
@@ -862,41 +687,12 @@ class FleetPool:
                 frames = self._context_registry.get(signature)
                 if frames is not None:
                     outcome.partial.contexts[signature] = frames
-        self._publish_registry(outcome)
         for lean in outcome.results:
             if lean.retry_wall_ms:
                 self.retry_wall_ms.append(lean.retry_wall_ms)
             result = lean.hydrate(self._context_registry)
             results[result.index] = result
         partial.merge(outcome.partial)
-
-    def _publish_registry(self, outcome: ChunkOutcome) -> None:
-        """Tell the fleet which signatures' frames are already central.
-
-        Appends newly learned signatures to the shared context-registry
-        segment; every worker folds them into its shipped-set and stops
-        shipping those frame strings — once fleet-wide, not once per
-        worker.  Purely an optimisation: whether a worker ships or
-        skips, the coordinator backfills from its registry, so results
-        and aggregates are byte-identical either way (which is why a
-        full registry segment can simply stop publishing).
-        """
-        if self._plane is None or self._registry_full:
-            return
-        novel = sorted(
-            signature
-            for signature in outcome.partial.counts
-            if signature not in self._registry_shipped
-            and signature in self._context_registry
-        )
-        if not novel:
-            return
-        try:
-            self._plane.registry_append(novel)
-        except SegmentFull:
-            self._registry_full = True
-            return
-        self._registry_shipped.update(novel)
 
     # ------------------------------------------------------------------
     # Executor lifecycle
@@ -908,22 +704,10 @@ class FleetPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            shm_names = None
-            if self._plane is not None and self._wire_active == WIRE_SHM:
-                # Claims of terminated workers must not outlive them:
-                # replacement workers re-claim the freed rings.  Only
-                # safe here because a new executor is only ever built
-                # with every previous worker already terminated.
-                self._plane.reset_claims()
-                shm_names = self._plane.names()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(
-                    self._apps,
-                    tuple(sorted(self._evidence_base)),
-                    shm_names,
-                ),
+                initargs=(self._apps, tuple(sorted(self._evidence_base))),
             )
             self._capacity = self.workers
             self._hung_workers = 0
@@ -953,9 +737,3 @@ class FleetPool:
             except Exception:  # noqa: BLE001 — already-dead workers are fine
                 pass
         executor.shutdown(wait=False, cancel_futures=True)
-
-    @staticmethod
-    def _failed(
-        spec: ExecutionSpec, outcome: str, attempts: int, error: str
-    ) -> ExecutionResult:
-        return _failed_result(spec, outcome, attempts, error)

@@ -120,7 +120,6 @@ class FleetCampaign:
         wave_size: Optional[int] = None,
         bug_db: Optional["BugDatabase"] = None,
         campaign_id: Optional[str] = None,
-        wire: Optional[str] = None,
     ):
         if executions <= 0:
             raise ValueError(f"executions must be positive, got {executions}")
@@ -144,7 +143,6 @@ class FleetCampaign:
             workers=workers,
             timeout_seconds=timeout_seconds,
             chunk_size=chunk_size,
-            wire=wire,
         )
         self.aggregator = FleetAggregator()
         self.results: List[ExecutionResult] = []
@@ -314,14 +312,8 @@ def run_fleet(
     wave_size: Optional[int] = None,
     bug_db: Optional["BugDatabase"] = None,
     campaign_id: Optional[str] = None,
-    wire: Optional[str] = None,
 ) -> FleetRunResult:
     """Run one app's detection campaign across a simulated fleet.
-
-    ``wire`` selects the coordinator↔worker data plane: ``"shm"``
-    (default) shares evidence/context segments and binary result rings
-    over ``/dev/shm``; ``"pickle"`` forces the fully-pickled legacy
-    plane.  Aggregated output is byte-identical either way.
 
     ``bug_db`` plugs the campaign into the triage layer: at campaign
     end the aggregated reports are clustered
@@ -349,7 +341,6 @@ def run_fleet(
         wave_size=wave_size,
         bug_db=bug_db,
         campaign_id=campaign_id,
-        wire=wire,
     )
     try:
         while campaign.run_next_wave() is not None:

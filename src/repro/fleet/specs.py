@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import CSODConfig
-from repro.fleet.shm import WIRE_PICKLE
 
 OUTCOME_OK = "ok"
 OUTCOME_CRASH = "worker-crash"
@@ -47,7 +46,7 @@ class ExecutionSpec:
     # Evidence signatures persisted by earlier executions; the worker
     # preloads them so known-bad contexts are watched from the first
     # allocation (§IV-B).  Campaign dispatch leaves this empty and
-    # broadcasts evidence per chunk instead (epoch + delta); a spec
+    # broadcasts evidence per chunk instead (as a delta); a spec
     # with explicit evidence always wins over the chunk's.
     evidence: Tuple[str, ...] = ()
     # Allocation-schedule scale factor; ``None`` selects the app's
@@ -101,30 +100,18 @@ class WorkChunk:
 
     The evidence broadcast is a **delta**: workers hold the snapshot
     from campaign start (shipped once, via the executor initializer)
-    and the chunk carries only the signatures merged since then, with
-    the epoch they correspond to.  The worker reconstructs the full
-    wave-boundary set as ``base | delta`` — signatures are preloaded
-    as a *set*, so the reconstruction is byte-for-byte equivalent to
-    shipping the whole sorted tuple.
+    and the chunk carries only the signatures merged since then.  The
+    worker reconstructs the full wave-boundary set as ``base | delta``
+    — signatures are preloaded as a *set*, so the reconstruction is
+    byte-for-byte equivalent to shipping the whole sorted tuple.
     """
 
     specs: Tuple[ExecutionSpec, ...]
-    evidence_epoch: int = 0
     evidence_delta: Tuple[str, ...] = ()
     # Base attempt number: 2 when the chunk is a coordinator-side
     # resubmission of crashed specs (no further retry inside).
     attempts: int = 1
     retry_crashed: bool = True
-    # Which data plane carries this chunk's evidence and results.  With
-    # ``wire="shm"`` the chunk ships **no evidence at all**: workers
-    # read the shared evidence segment up to ``evidence_slots`` (the
-    # slot count published at the chunk's epoch) and answer with a
-    # :class:`repro.fleet.shm.BlobHandle` into their result ring
-    # instead of a pickled outcome.  ``wire="pickle"`` chunks behave
-    # exactly as before — also the per-chunk fallback when the shm
-    # plane fills or fails mid-campaign.
-    wire: str = WIRE_PICKLE
-    evidence_slots: int = 0
 
 
 @dataclass

@@ -86,10 +86,6 @@ class OracleSettings:
     shrink: int = 0
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
     chunk_size: Optional[int] = None
-    # Fleet data plane ("shm"/"pickle"/None for the pool default).  A
-    # transport knob like workers/timeout/chunk_size: excluded from
-    # to_dict() because it cannot change what the scorecard hashes.
-    wire: Optional[str] = None
     # Detector arms to run; None means every registered arm.  Part of
     # the scorecard identity (a subset produces a different document).
     arms: Optional[Tuple[str, ...]] = None
@@ -256,14 +252,13 @@ def run_oracle(
             workers=settings.workers,
             timeout_seconds=settings.timeout_seconds,
             chunk_size=settings.chunk_size,
-            wire=settings.wire,
         )
         try:
             wave = pool.run_wave(specs)
         finally:
             # The oracle's fleet work is one wave; closing here (not at
-            # campaign end) releases worker processes and unlinks the
-            # shm segments before the serial judging phase runs.
+            # campaign end) releases worker processes before the serial
+            # judging phase runs.
             pool.close()
         aggregator.merge_partial(wave.partial)
 

@@ -22,13 +22,13 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import POLICY_NAIVE, POLICY_NEAR_FIFO, POLICY_RANDOM
 from repro.errors import ServiceError, WorkloadError
-from repro.fleet.shm import WIRES
 
 POLICIES = (POLICY_NAIVE, POLICY_RANDOM, POLICY_NEAR_FIFO)
 
@@ -44,6 +44,39 @@ FINAL_STATES = (STATE_COMPLETED, STATE_FAILED, STATE_CANCELLED)
 # boundaries are a pure scheduling choice; slicing into at most this
 # many waves keeps progress streaming live without changing results.
 DEFAULT_WAVE_SLICES = 8
+
+# JSON type checks for submission fields.  ``bool`` subclasses ``int``
+# in Python, so integers and numbers exclude it explicitly.
+_JSON_TYPES = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a finite number": lambda v: (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and math.isfinite(v)
+    ),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a list of strings": lambda v: (
+        isinstance(v, list) and all(isinstance(item, str) for item in v)
+    ),
+}
+
+# Every submission field: its JSON type, and whether null is accepted.
+# Checked before construction, so a malformed body is rejected with the
+# field named instead of failing somewhere inside validation.
+_SUBMISSION_FIELDS: Dict[str, Tuple[str, bool]] = {
+    "app": ("a string", False),
+    "executions": ("an integer", False),
+    "workers": ("an integer", False),
+    "policy": ("a string", False),
+    "share_evidence": ("a boolean", False),
+    "seed": ("an integer", False),
+    "priority": ("an integer", False),
+    "wave_size": ("an integer", True),
+    "chunk_size": ("an integer", True),
+    "timeout_seconds": ("a finite number", True),
+    "arms": ("a list of strings", True),
+}
 
 
 def _validate_app(app: str) -> None:
@@ -91,8 +124,6 @@ class CampaignSubmission:
     wave_size: Optional[int] = None
     chunk_size: Optional[int] = None
     timeout_seconds: Optional[float] = 60.0
-    # Fleet data plane; None takes the pool default ("shm").
-    wire: Optional[str] = None
     # Detector arm override: a single fleet-capable arm name (e.g.
     # ["csod-random"]); None keeps the policy-derived CSOD config.
     # Part of the job identity, so arm variants hash to distinct jobs.
@@ -124,10 +155,6 @@ class CampaignSubmission:
             raise ServiceError(
                 f"timeout_seconds: must be positive, got "
                 f"{self.timeout_seconds}"
-            )
-        if self.wire is not None and self.wire not in WIRES:
-            raise ServiceError(
-                f"wire: must be one of {list(WIRES)}, got {self.wire!r}"
             )
         if self.arms is not None:
             from repro.detectors import get as get_detector
@@ -179,7 +206,6 @@ class CampaignSubmission:
             "wave_size": self.wave_size,
             "chunk_size": self.chunk_size,
             "timeout_seconds": self.timeout_seconds,
-            "wire": self.wire,
             "arms": None if self.arms is None else list(self.arms),
         }
 
@@ -191,35 +217,21 @@ class CampaignSubmission:
             )
         if "app" not in payload:
             raise ServiceError("app: required field missing")
-        known = {
-            "app",
-            "executions",
-            "workers",
-            "policy",
-            "share_evidence",
-            "seed",
-            "priority",
-            "wave_size",
-            "chunk_size",
-            "timeout_seconds",
-            "wire",
-            "arms",
-        }
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - set(_SUBMISSION_FIELDS))
         if unknown:
             raise ServiceError(f"submission: unknown fields {unknown}")
-        if isinstance(payload.get("arms"), list):
-            payload = dict(payload, arms=tuple(payload["arms"]))
-        try:
-            submission = cls(**payload)
-        except TypeError as exc:
-            raise ServiceError(f"submission: {exc}") from None
-        for name in ("executions", "workers", "seed", "priority"):
-            if not isinstance(getattr(submission, name), int):
+        for name, value in payload.items():
+            kind, nullable = _SUBMISSION_FIELDS[name]
+            if value is None and nullable:
+                continue
+            if not _JSON_TYPES[kind](value):
+                null = " or null" if nullable else ""
                 raise ServiceError(
-                    f"{name}: must be an integer, got "
-                    f"{getattr(submission, name)!r}"
+                    f"{name}: must be {kind}{null}, got {value!r}"
                 )
+        if payload.get("arms") is not None:
+            payload = dict(payload, arms=tuple(payload["arms"]))
+        submission = cls(**payload)
         submission.validate()
         return submission
 

@@ -212,7 +212,6 @@ class CampaignScheduler:
                 wave_size=submission.effective_wave_size(),
                 bug_db=self.bug_db,
                 campaign_id=job.job_id,
-                wire=submission.wire,
             )
         except Exception as exc:  # noqa: BLE001 — a bad submission that
             # slipped past validation fails its own job, not the service.

@@ -168,3 +168,25 @@ def test_fleet_evidence_accelerates_detection():
     )
     assert sum(shared.detections) > sum(independent.detections)
     assert len(shared.evidence) > 0
+
+
+def test_campaign_registers_no_shared_memory(monkeypatch):
+    """Fork safety: the fleet creates no shared-memory segments.
+
+    Registering a segment takes the resource tracker's lock; a worker
+    forked while another thread holds it inherits the lock held and
+    blocks for ever.  A fleet that registers nothing cannot hit that.
+    """
+    from multiprocessing import resource_tracker
+
+    registered = []
+    original = resource_tracker.register
+
+    def spy(name, rtype):
+        registered.append((name, rtype))
+        return original(name, rtype)
+
+    monkeypatch.setattr(resource_tracker, "register", spy)
+    result = small_campaign(share_evidence=True)
+    assert result.aggregator.executions_ok == EXECUTIONS
+    assert [r for r in registered if r[1] == "shared_memory"] == []

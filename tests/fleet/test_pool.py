@@ -12,7 +12,10 @@ from repro.fleet.specs import (
     OUTCOME_CRASH,
     OUTCOME_OK,
     OUTCOME_TIMEOUT,
+    ExecutionResult,
     ExecutionSpec,
+    ReportRecord,
+    lean_from,
 )
 
 
@@ -327,3 +330,20 @@ def test_crash_retry_runs_in_worker_not_coordinator(tmp_path):
         assert pool.retry_wall_ms[0] > 0
     finally:
         registry._app_cache.pop(("crash-once", 1.0), None)
+
+
+def test_hydrated_results_match_reportrecord_shape():
+    record = ReportRecord(
+        signature="sig",
+        kind="over-write",
+        source="canary",
+        allocation_context=("alloc.c:1",),
+        access_context=("access.c:9",),
+    )
+    result = ExecutionResult(
+        app="gzip", seed=7, index=3, detected=True, reports=[record]
+    )
+    lean = lean_from(result)
+    assert lean.reports == (("sig", "over-write", "canary"),)
+    contexts = {"sig": (("alloc.c:1",), ("access.c:9",))}
+    assert lean.hydrate(contexts) == result

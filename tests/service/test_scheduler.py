@@ -286,21 +286,3 @@ def test_wave_events_carry_progress_fields():
         assert key in last
     assert last["executions_done"] == 12
     assert [event["wave"] for event in waves] == list(range(len(waves)))
-
-
-def test_submission_wire_reaches_the_campaign_pool():
-    """Satellite: the data-plane choice survives the service hop, and a
-    pickle-wire job's bytes equal the (default-wire) standalone run."""
-    submissions = [
-        CampaignSubmission(app="gzip", executions=8, seed=3, wire="pickle"),
-        CampaignSubmission(app="gzip", executions=8, seed=3, wire="shm"),
-    ]
-    jobs, _, _ = drive(submissions, total_workers=2)
-    payloads = []
-    for job in jobs:
-        assert job.state == STATE_COMPLETED
-        payloads.append(
-            json.dumps(job.result_payload["aggregate"], sort_keys=True)
-        )
-    assert payloads[0] == payloads[1]
-    assert payloads[0] == standalone_payload(submissions[0])

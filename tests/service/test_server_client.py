@@ -75,6 +75,14 @@ def test_http_rejects_unknown_fields(client):
     assert status == 400 and "unknown fields" in payload["error"]
 
 
+def test_http_rejects_mistyped_field_naming_it(client):
+    status, payload = client._request(
+        "POST", "/submit", {"app": "gzip", "wave_size": "4"}
+    )
+    assert status == 400
+    assert payload["error"].startswith("wave_size: must be an integer")
+
+
 def test_http_rejects_malformed_json(client):
     import http.client
 

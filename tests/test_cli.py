@@ -145,26 +145,3 @@ def test_fleet_rejects_bad_values_naming_the_flag(argv, flag, capsys):
     err = capsys.readouterr().err
     assert "repro fleet: error" in err
     assert flag in err  # the message names the offending flag
-
-
-def test_fleet_rejects_unknown_wire_naming_the_flag(capsys):
-    argv = ["fleet", "--app", "libtiff", "--wire", "carrier-pigeon"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "repro fleet: error" in err
-    assert "--wire" in err
-    assert "carrier-pigeon" in err
-
-
-def test_fleet_accepts_both_wires(tmp_path, capsys):
-    for wire in ("pickle", "shm"):
-        out_dir = tmp_path / f"fleet-{wire}"
-        argv = [
-            "fleet", "--app", "gzip", "--executions", "4",
-            "--workers", "2", "--wire", wire, "--out", str(out_dir),
-        ]
-        assert main(argv) == 0
-        assert (out_dir / "aggregate.json").exists()
-    pickled = (tmp_path / "fleet-pickle" / "aggregate.json").read_bytes()
-    shared = (tmp_path / "fleet-shm" / "aggregate.json").read_bytes()
-    assert pickled == shared
