@@ -8,13 +8,16 @@ victim), plus a microbenchmark of the watch-decision hot path.
 from conftest import once
 
 from repro.core import CSODConfig, CSODRuntime
-from repro.core.config import POLICY_NAIVE, POLICY_NEAR_FIFO, POLICY_RANDOM
+from repro.core.config import (
+    POLICIES,
+    POLICY_NAIVE,
+    POLICY_NEAR_FIFO,
+    POLICY_RANDOM,
+)
 from repro.experiments.effectiveness import run_table2
 from repro.experiments.tables import render_table
 from repro.workloads.base import SimProcess
 from repro.workloads.perf import perf_app_for
-
-POLICIES = (POLICY_NAIVE, POLICY_RANDOM, POLICY_NEAR_FIFO)
 
 
 def test_ablation_policy_detection(benchmark, artifact):

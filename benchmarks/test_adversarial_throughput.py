@@ -3,7 +3,8 @@
 The constraint-guided generator is only worth running in CI if solving
 for a sampler corner is cheap next to executing the resulting program.
 This bench times the two stages separately: bounded-model-check solving
-(BFS over the pure ``SamplerState`` transitions) and lowering (witness →
+(BFS over ``SamplerState`` snapshots, stepped by ``repro.core.sampling``'s
+in-place rules) and lowering (witness →
 oracle-grammar program, including the throttle-edge clock calibration
 run), across several solver seeds, into ``BENCH_adversarial.json``.
 """

@@ -14,11 +14,11 @@ Run:  python examples/policy_comparison.py
 """
 
 from repro.core import CSODConfig, CSODRuntime
+from repro.core.config import POLICIES
 from repro.experiments.tables import render_table
 from repro.workloads.base import SimProcess
 from repro.workloads.buggy import app_for
 
-POLICIES = ("naive", "random", "near_fifo")
 RUNS = 80
 
 

@@ -1,32 +1,37 @@
 """The abstract detection model.
 
 Replays a :class:`~repro.workloads.base.BuggyAppSpec` schedule against
-*only* the sampling mathematics: per-context probabilities with every
-§III-B2/§IV-A rule, four abstract watchpoint slots driven by the real
+*only* the sampling mathematics: per-context probabilities under
+``repro.core.sampling``'s §III-B2/§IV-A rules (the same functions the
+live unit runs), four abstract watchpoint slots driven by the real
 replacement-policy classes, watchpoint ageing, and the victim's fate at
 the overflow access.  No heap, no syscalls, no canaries — which makes it
 roughly an order of magnitude faster than the full simulation while
 agreeing with its detection rates (the test suite cross-checks this).
 
-Statistical agreement is the contract: individual executions use their
-own RNG stream and will not match the full simulation run-for-run.
+Every draw comes from the main thread's stream (tid 1), as in a live
+single-threaded run.  Statistical agreement is the contract: individual
+executions use their own RNG stream and will not match the full
+simulation run-for-run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import CSODConfig
 from repro.core.policies import ReplacementPolicy, make_policy
 from repro.core.rng import PerThreadRNG
-from repro.machine.clock import NANOS_PER_SECOND
+from repro.core.sampling import aged, allocate, effective, halve, pin, revive
 from repro.workloads.base import BuggyAppSpec, SyntheticBuggyApp
 
 _SLOTS = 4
+# The live main thread's tid: the stream every abstract draw consumes.
+_MAIN_TID = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class _AbstractContext:
     probability: float
     allocation_count: int = 0
@@ -69,7 +74,7 @@ class AbstractDetector:
         self.watched_times = 0
 
     # ------------------------------------------------------------------
-    # Sampling rules (mirrors core.sampling on purpose)
+    # Sampling rules (repro.core.sampling's spec)
     # ------------------------------------------------------------------
     def _context(self, context_id: int) -> _AbstractContext:
         ctx = self._contexts.get(context_id)
@@ -78,63 +83,28 @@ class AbstractDetector:
             self._contexts[context_id] = ctx
         return ctx
 
-    def _clamp(self, probability: float) -> float:
-        return max(self.config.floor_probability, min(1.0, probability))
-
     def _on_allocation(self, context_id: int) -> _AbstractContext:
-        config = self.config
         ctx = self._context(context_id)
         ctx.allocation_count += 1
-        if ctx.pinned:
-            return ctx
-        ctx.probability = self._clamp(
-            ctx.probability - config.degradation_per_alloc
-        )
-        window_ns = int(config.throttle_window_seconds * NANOS_PER_SECOND)
-        if self._now_ns - ctx.window_start_ns > window_ns:
-            ctx.window_start_ns = self._now_ns
-            ctx.window_alloc_count = 0
-        ctx.window_alloc_count += 1
-        if (
-            ctx.window_alloc_count > config.throttle_alloc_threshold
-            and ctx.throttled_until_ns <= self._now_ns
-        ):
-            ctx.throttled_until_ns = ctx.window_start_ns + window_ns
-            ctx.probability = config.floor_probability
-        if ctx.probability > config.floor_probability:
-            ctx.floor_since_ns = -1
-        else:
-            period_ns = int(config.revive_period_seconds * NANOS_PER_SECOND)
-            if ctx.floor_since_ns < 0:
-                ctx.floor_since_ns = self._now_ns
-            elif self._now_ns - ctx.floor_since_ns >= period_ns:
-                ctx.floor_since_ns = self._now_ns
-                if self._rng.uniform(tid=0) < config.revive_chance:
-                    ctx.probability = config.revive_probability
+        if not ctx.pinned and allocate(ctx, self._now_ns, self.config):
+            revive(ctx, self._rng.uniform(tid=_MAIN_TID), self.config)
         return ctx
 
     def _effective(self, ctx: _AbstractContext) -> float:
-        if ctx.pinned:
-            return 1.0
-        if ctx.throttled_until_ns > self._now_ns:
-            return self.config.throttle_probability
-        return ctx.probability
+        return effective(ctx, ctx.pinned, self._now_ns, self.config)
 
     def _slot_probability(self, slot: _AbstractSlot) -> float:
-        base = self._effective(self._contexts[slot.context_id])
-        period_ns = int(self.config.watchpoint_age_seconds * NANOS_PER_SECOND)
-        age_ns = self._now_ns - slot.install_time_ns
-        if period_ns <= 0 or age_ns < period_ns:
-            return base
-        return base * (0.5 ** min(age_ns // period_ns, 60))
+        return aged(
+            self._effective(self._contexts[slot.context_id]),
+            self._now_ns - slot.install_time_ns,
+            self.config,
+        )
 
     def _on_watched(self, ctx: _AbstractContext) -> None:
         ctx.watch_count += 1
         self.watched_times += 1
         if not ctx.pinned:
-            ctx.probability = self._clamp(
-                ctx.probability * self.config.watch_degradation_factor
-            )
+            halve(ctx, self.config)
 
     # ------------------------------------------------------------------
     # The abstract execution
@@ -151,7 +121,7 @@ class AbstractDetector:
             for index in pending_frees.pop(event.index, ()):
                 self._free_slot_for(index)
             ctx = self._on_allocation(event.context_id)
-            draw = self._rng.uniform(tid=1) < self._effective(ctx)
+            draw = self._rng.uniform(tid=_MAIN_TID) < self._effective(ctx)
             self._try_watch(event.index, event.context_id, ctx, draw)
             if event.free_after is not None:
                 pending_frees.setdefault(event.free_after, []).append(event.index)
@@ -160,7 +130,9 @@ class AbstractDetector:
                 detected = self._victim_watched(victim_index)
                 if detected:
                     # A real trap pins the context (§IV-B persistence).
-                    self._contexts[0].pinned = True
+                    victim = self._contexts[0]
+                    victim.pinned = True
+                    pin(victim)
         return detected
 
     def _victim_watched(self, victim_index: int) -> bool:
@@ -191,7 +163,7 @@ class AbstractDetector:
             if slot is not None
         ]
         victim = self._policy.select_victim(
-            view, self._effective(ctx), self._rng, tid=1
+            view, self._effective(ctx), self._rng, tid=_MAIN_TID
         )
         if victim is None:
             return

@@ -9,7 +9,7 @@ from typing import List, Optional
 from repro import __version__
 from repro.asan import ASanRuntime
 from repro.core import CSODConfig, CSODRuntime
-from repro.core.config import POLICY_NAIVE, POLICY_NEAR_FIFO, POLICY_RANDOM
+from repro.core.config import POLICIES, POLICY_NEAR_FIFO
 from repro.experiments import (
     characteristics,
     effectiveness,
@@ -21,7 +21,6 @@ from repro.workloads.base import SimProcess
 from repro.workloads.buggy import BUGGY_APPS, app_for
 from repro.workloads.perf import PERF_APPS
 
-POLICIES = (POLICY_NAIVE, POLICY_RANDOM, POLICY_NEAR_FIFO)
 RUNTIMES = ("csod", "csod-noevidence", "asan", "none")
 
 

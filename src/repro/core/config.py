@@ -23,7 +23,8 @@ POLICY_NEAR_FIFO = "near_fifo"
 
 ReplacementPolicyName = str
 
-_VALID_POLICIES = (POLICY_NAIVE, POLICY_RANDOM, POLICY_NEAR_FIFO)
+# Every replacement policy, in Table II's column order.
+POLICIES = (POLICY_NAIVE, POLICY_RANDOM, POLICY_NEAR_FIFO)
 
 HOTPATH_BATCHED = "batched"
 HOTPATH_LEGACY = "legacy"
@@ -95,10 +96,10 @@ class CSODConfig:
                 f"unknown hotpath {self.hotpath!r}; "
                 f"expected one of {_VALID_HOTPATHS}"
             )
-        if self.replacement_policy not in _VALID_POLICIES:
+        if self.replacement_policy not in POLICIES:
             raise CSODError(
                 f"unknown replacement policy {self.replacement_policy!r}; "
-                f"expected one of {_VALID_POLICIES}"
+                f"expected one of {POLICIES}"
             )
         for name in (
             "initial_probability",

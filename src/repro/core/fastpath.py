@@ -8,7 +8,10 @@ are consumed in the same order, the same debug registers arm, and the
 cost ledger receives the same counts and nanoseconds — but the Python
 work per interposed call collapses:
 
-* every per-rule method call is inlined into one flat body per driver;
+* every per-rule call is inlined into one flat body per driver — the
+  sampler rules are inlined copies of :mod:`repro.core.sampling`'s spec
+  functions, and ``tests/core/test_fastpath_spec.py`` checks them
+  against the spec after every step;
 * runs of ledger records with no observation point between them are
   charged as precompiled
   :class:`~repro.machine.syscall_cost.CostBundle`\\ s, tallied into the
@@ -59,6 +62,7 @@ from repro.core.reporting import (
 )
 from repro.core.rng import DRAW_BLOCK_SIZE, RNG_DRAW_COST_NS, _UNIFORM_SCALE
 from repro.core.context_key import LOOKUP_COST_NS
+from repro.core.sampling import revive_period_ns, throttle_window_ns
 from repro.core.watchpoints import WatchedObject
 from repro.errors import (
     DebugRegisterError,
@@ -308,12 +312,12 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
         clock = self._clock_obj
 
         config = self._config
-        floor = sampling._floor
-        degradation = sampling._degradation_per_alloc
-        throttle_threshold = sampling._throttle_threshold
-        throttle_probability = sampling._throttle_probability
-        window_ns = sampling._window_ns
-        revive_period_ns = sampling._revive_period_ns
+        floor = config.floor_probability
+        degradation = config.degradation_per_alloc
+        throttle_threshold = config.throttle_alloc_threshold
+        throttle_probability = config.throttle_probability
+        window_ns = throttle_window_ns(config)
+        revive_ns = revive_period_ns(config)
         revive_chance = config.revive_chance
         revive_probability = config.revive_probability
         watch_factor = config.watch_degradation_factor
@@ -485,7 +489,7 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
                     floor_since = record.floor_since_ns
                     if floor_since < 0:
                         record.floor_since_ns = now
-                    elif now - floor_since >= revive_period_ns:
+                    elif now - floor_since >= revive_ns:
                         record.floor_since_ns = now
                         pending[_RNG_DRAW_ONLY] = pget(_RNG_DRAW_ONLY, 0) + 1
                         if lclk is not None:

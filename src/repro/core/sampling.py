@@ -1,7 +1,7 @@
-"""The Sampling Management Unit (§III-B, §IV-A).
+"""The Sampling Management Unit (§III-B, §IV-A) and its executable spec.
 
-Maintains one :class:`ContextRecord` per allocation calling context in
-the global hash table and adapts its watch probability online:
+Every allocation calling context carries a watch probability that the
+unit adapts online:
 
 * **initialization** — every new context starts at 50%;
 * **degradation on each allocation** — minus 0.001 percentage points per
@@ -17,17 +17,27 @@ the global hash table and adapts its watch probability online:
 * **evidence boost** (§IV-B) — a context with observed overflow evidence
   is pinned at 100%.
 
+Each rule is written exactly once, below, as a function that updates in
+place any object carrying the five sampler fields (``probability``,
+``window_start_ns``, ``window_alloc_count``, ``throttled_until_ns``,
+``floor_since_ns``).  :class:`SamplingManagementUnit`, the watchpoint
+unit's ageing, ``repro.analysis.AbstractDetector`` and the adversarial
+solver all run these functions; the frozen :class:`SamplerState` is only
+the solver's hashable snapshot of them.  The batched driver
+(``repro.core.fastpath``) inlines the same arithmetic for speed, and
+``tests/core/test_fastpath_spec.py`` checks it against these functions
+step by step.
+
 ``on_allocation`` runs on *every* interposed allocation, so the unit
 keeps a one-entry per-thread (key → record) cache: repeated allocations
 from the same site skip the global hash-table walk entirely while still
-charging the simulated lookup cost, and all config-derived constants
-(the throttle window and revive period in nanoseconds, the probability
-bounds) are precomputed at construction instead of per call.
+charging the simulated lookup cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.callstack.contexts import CallingContext, ContextInterner, ContextKey
@@ -35,6 +45,134 @@ from repro.core.config import CSODConfig
 from repro.core.context_key import ContextHashTable
 from repro.core.rng import PerThreadRNG
 from repro.machine.clock import NANOS_PER_SECOND, VirtualClock
+
+
+# ----------------------------------------------------------------------
+# The spec: §III-B2 / §IV-A / §IV-B, one function per rule
+# ----------------------------------------------------------------------
+def throttle_window_ns(config: CSODConfig) -> int:
+    return int(config.throttle_window_seconds * NANOS_PER_SECOND)
+
+
+def revive_period_ns(config: CSODConfig) -> int:
+    return int(config.revive_period_seconds * NANOS_PER_SECOND)
+
+
+def degrade(state, config: CSODConfig) -> None:
+    """Degradation on each allocation: minus one step, floor-clamped."""
+    floor = config.floor_probability
+    probability = state.probability - config.degradation_per_alloc
+    state.probability = floor if probability < floor else probability
+
+
+def throttle(state, now_ns: int, config: CSODConfig) -> None:
+    """Count the allocation in its throttle window; engage past the limit.
+
+    Windows are half-open [start, start + window): an allocation landing
+    exactly at start + window opens the next window and is counted
+    there, consistent with :func:`throttled`, under which a throttle
+    expiring at that same instant no longer applies.
+    """
+    window_ns = throttle_window_ns(config)
+    if now_ns - state.window_start_ns >= window_ns:
+        state.window_start_ns = now_ns
+        state.window_alloc_count = 0
+    state.window_alloc_count += 1
+    if state.window_alloc_count > config.throttle_alloc_threshold and not throttled(
+        state, now_ns
+    ):
+        # Throttle until the current window elapses; afterwards the
+        # probability returns to the lower bound (§III-B2).
+        state.throttled_until_ns = state.window_start_ns + window_ns
+        state.probability = config.floor_probability
+
+
+def revive_due(state, now_ns: int, config: CSODConfig) -> bool:
+    """The revive timer (§IV-A); True when this allocation owes a draw.
+
+    The caller makes the draw from the *allocating* thread's stream and
+    hands it to :func:`revive`.
+    """
+    if state.probability > config.floor_probability:
+        state.floor_since_ns = -1
+        return False
+    if state.floor_since_ns < 0:
+        state.floor_since_ns = now_ns
+        return False
+    if now_ns - state.floor_since_ns < revive_period_ns(config):
+        return False
+    state.floor_since_ns = now_ns
+    return True
+
+
+def revive(state, draw: float, config: CSODConfig) -> None:
+    """A due revive draw: a fraction of floor-bound contexts come back."""
+    if draw < config.revive_chance:
+        state.probability = config.revive_probability
+
+
+def halve(state, config: CSODConfig) -> None:
+    """Degradation after each watch, clamped to [floor, 1.0]."""
+    probability = state.probability * config.watch_degradation_factor
+    floor = config.floor_probability
+    if probability < floor:
+        probability = floor
+    elif probability > 1.0:
+        probability = 1.0
+    state.probability = probability
+
+
+def pin(state) -> None:
+    """Evidence observed: pin at 100% (§IV-B).
+
+    The context is no longer floor-bound or throttled; stale floor
+    bookkeeping must not make it eligible for a revive draw (which would
+    waste a random number and perturb per-thread draw order).
+    """
+    state.probability = 1.0
+    state.throttled_until_ns = 0
+    state.floor_since_ns = -1
+
+
+def throttled(state, now_ns: int) -> bool:
+    """Does an engaged throttle still apply at ``now_ns``?"""
+    return state.throttled_until_ns > now_ns
+
+
+def effective(state, pinned: bool, now_ns: int, config: CSODConfig) -> float:
+    """The probability a draw is made against: the pin, then the throttle."""
+    if pinned:
+        return 1.0
+    if throttled(state, now_ns):
+        return config.throttle_probability
+    return state.probability
+
+
+def aged(probability: float, age_ns: int, config: CSODConfig) -> float:
+    """A watched object's probability, halved per full ageing period.
+
+    Long-watched, quiet objects become progressively easier to evict
+    (§III-C2).
+    """
+    period_ns = int(config.watchpoint_age_seconds * NANOS_PER_SECOND)
+    if period_ns <= 0 or age_ns < period_ns:
+        return probability
+    return probability * (0.5 ** min(age_ns // period_ns, 60))
+
+
+def allocate(state, now_ns: int, config: CSODConfig, watched: bool = False) -> bool:
+    """One un-pinned allocation step: degrade, throttle, revive timer,
+    then (when the object ends up watched) the watch halving.
+
+    Returns whether the step owes a revive draw; the draw itself happens
+    between the timer and the halving.
+    """
+    degrade(state, config)
+    throttle(state, now_ns, config)
+    due = revive_due(state, now_ns, config)
+    if watched:
+        halve(state, config)
+    return due
 
 
 @dataclass(slots=True)
@@ -61,7 +199,7 @@ class ContextRecord:
 
 
 class SamplingManagementUnit:
-    """Owns the probability table and all adaptation rules."""
+    """Owns the probability table and runs the spec's rules over it."""
 
     def __init__(
         self,
@@ -82,15 +220,6 @@ class SamplingManagementUnit:
         # to overflow; applied when the context is first seen.
         self._known_bad_signatures: Set[str] = set()
         self.total_allocations_seen = 0
-        # Hot-path constants, hoisted out of the per-allocation rules.
-        self._floor = config.floor_probability
-        self._degradation_per_alloc = config.degradation_per_alloc
-        self._throttle_threshold = config.throttle_alloc_threshold
-        self._throttle_probability = config.throttle_probability
-        self._window_ns = int(config.throttle_window_seconds * NANOS_PER_SECOND)
-        self._revive_period_ns = int(
-            config.revive_period_seconds * NANOS_PER_SECOND
-        )
         # One-entry (key → record) cache per thread, as
         # (first_ra, stack_offset, record, context_depth) tuples.  A
         # key's record is created exactly once and never replaced, so
@@ -149,23 +278,14 @@ class SamplingManagementUnit:
         self.total_allocations_seen += 1
         record.allocation_count += 1
         if not record.overflow_observed:
-            self._degrade_on_allocation(record)
+            degrade(record, self._config)
             self._update_throttle(record)
             self._maybe_revive(record, tid)
         return record
 
     def should_watch(self, record: ContextRecord, tid: int) -> bool:
         """One probabilistic draw against the context's probability."""
-        # Inlined effective_probability: pinned contexts always watch,
-        # and un-throttled contexts (the fast, overwhelmingly common
-        # case — every floor-probability context included) go straight
-        # to the stored probability without any further rule checks.
-        if record.overflow_observed:
-            return True
-        if record.throttled_until_ns > self._clock.now_ns:
-            probability = self._throttle_probability
-        else:
-            probability = record.probability
+        probability = self.effective_probability(record)
         if probability >= 1.0:
             return True
         return self._rng.uniform(tid) < probability
@@ -173,99 +293,41 @@ class SamplingManagementUnit:
     def on_watched(self, record: ContextRecord) -> None:
         """Degradation after each watch: halve the probability."""
         record.watch_count += 1
-        if record.overflow_observed:
-            return
-        record.probability = self._clamp(
-            record.probability * self._config.watch_degradation_factor, record
-        )
+        if not record.overflow_observed:
+            halve(record, self._config)
 
     def boost_to_certain(self, record: ContextRecord) -> None:
         """Evidence observed: pin at 100% (§IV-B)."""
         record.overflow_observed = True
-        record.probability = 1.0
-        record.throttled_until_ns = 0
-        # The context is no longer floor-bound; stale floor bookkeeping
-        # must not make it eligible for a revive draw (which would waste
-        # a random number and perturb per-thread draw order).
-        record.floor_since_ns = -1
+        pin(record)
 
-    # ------------------------------------------------------------------
-    # Probability views
-    # ------------------------------------------------------------------
     def effective_probability(self, record: ContextRecord) -> float:
         """The probability a draw is made against, honouring throttles."""
-        if record.overflow_observed:
-            return 1.0
-        if record.throttled_until_ns > self._clock.now_ns:
-            return self._throttle_probability
-        return record.probability
+        return effective(
+            record, record.overflow_observed, self._clock.now_ns, self._config
+        )
 
     # ------------------------------------------------------------------
-    # Rules
+    # Rules (the oracle's corner probes spy on the last two)
     # ------------------------------------------------------------------
     def _new_record(self, key: ContextKey, context: CallingContext) -> ContextRecord:
-        probability = self._config.initial_probability
-        record = ContextRecord(key=key, context=context, probability=probability)
-        signature = context_signature(context)
-        if signature in self._known_bad_signatures:
+        record = ContextRecord(
+            key=key, context=context, probability=self._config.initial_probability
+        )
+        if context_signature(context) in self._known_bad_signatures:
             record.overflow_observed = True
-            record.probability = 1.0
+            pin(record)
         return record
 
-    def _degrade_on_allocation(self, record: ContextRecord) -> None:
-        probability = record.probability - self._degradation_per_alloc
-        floor = self._floor
-        record.probability = floor if probability < floor else probability
-
     def _update_throttle(self, record: ContextRecord) -> None:
-        now = self._clock.now_ns
-        window_ns = self._window_ns
-        # Windows are half-open [start, start + window): an allocation
-        # landing exactly at start + window opens the next window and is
-        # counted there — consistent with the ``throttled_until_ns > now``
-        # check, under which a throttle expiring at that same instant no
-        # longer applies.  (With ``>`` the boundary allocation was counted
-        # in the old window, and a throttle it triggered expired
-        # immediately, having throttled nothing.)
-        if now - record.window_start_ns >= window_ns:
-            record.window_start_ns = now
-            record.window_alloc_count = 0
-        record.window_alloc_count += 1
-        if (
-            record.window_alloc_count > self._throttle_threshold
-            and record.throttled_until_ns <= now
-        ):
-            # Throttle until the current window elapses; afterwards the
-            # probability returns to the lower bound (§III-B2).
-            record.throttled_until_ns = record.window_start_ns + window_ns
-            record.probability = self._floor
+        throttle(record, self._clock.now_ns, self._config)
 
     def _maybe_revive(self, record: ContextRecord, tid: int = 0) -> None:
-        if record.probability > self._floor:
-            record.floor_since_ns = -1
-            return
-        now = self._clock.now_ns
-        if record.floor_since_ns < 0:
-            record.floor_since_ns = now
-            return
-        if now - record.floor_since_ns < self._revive_period_ns:
-            return
-        # Random boost: a fraction of floor-bound contexts come back to
-        # 0.01% so input-dependent bugs stay reachable (§IV-A).  The
-        # draw comes from the *allocating thread's* stream — consuming
-        # thread 0's stream here would corrupt per-thread determinism.
-        record.floor_since_ns = now
-        if self._rng.uniform(tid) < self._config.revive_chance:
-            record.probability = self._config.revive_probability
-
-    def _clamp(self, probability: float, record: ContextRecord) -> float:
-        # A pinned context (observed overflow evidence) can never decay
-        # below its pin: whatever rule produced ``probability``, the
-        # evidence boost dominates (§IV-B).
-        if record.overflow_observed:
-            return 1.0
-        floor = self._floor
-        return max(floor, min(1.0, probability))
+        # The draw comes from the *allocating thread's* stream —
+        # consuming thread 0's stream here would corrupt per-thread
+        # determinism.
+        if revive_due(record, self._clock.now_ns, self._config):
+            revive(record, self._rng.uniform(tid), self._config)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -289,19 +351,17 @@ class SamplingManagementUnit:
 
 
 # ----------------------------------------------------------------------
-# Pure transition model (the adversarial solver's search space)
+# Frozen snapshots (the adversarial solver's search space)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SamplerState:
-    """A pure snapshot of one context's sampling state.
+    """A hashable snapshot of one context's five sampler fields.
 
-    The adversarial solver (``repro.oracle.adversarial``) bounded-model-
-    checks allocation sequences against the unit's transition relation
-    without instantiating a runtime; the module-level transitions below
-    restate the rules above as pure functions over this state.  The
-    parity tests in ``tests/core/test_sampler_model.py`` pin each one
-    against the live :class:`SamplingManagementUnit`, so the solver can
-    trust the abstract model.
+    The adversarial solver (``repro.oracle.adversarial``) searches
+    allocation sequences over these snapshots without instantiating a
+    runtime.  Each ``*_transition`` below copies a snapshot, applies the
+    in-place rule above, and freezes the result, so the solver searches
+    the very rules the live unit runs.
     """
 
     probability: float
@@ -310,13 +370,39 @@ class SamplerState:
     throttled_until_ns: int = 0
     floor_since_ns: int = -1
 
+    @classmethod
+    def of(cls, carrier) -> "SamplerState":
+        """Freeze the five sampler fields of any carrier."""
+        return cls(*(getattr(carrier, name) for name in _SAMPLER_FIELDS))
 
-def throttle_window_ns(config: CSODConfig) -> int:
-    return int(config.throttle_window_seconds * NANOS_PER_SECOND)
+    def thaw(self) -> SimpleNamespace:
+        """A mutable copy for the in-place rules."""
+        return SimpleNamespace(**vars(self))
 
 
-def revive_period_ns(config: CSODConfig) -> int:
-    return int(config.revive_period_seconds * NANOS_PER_SECOND)
+_SAMPLER_FIELDS = tuple(f.name for f in fields(SamplerState))
+
+
+def _on_snapshot(rule):
+    """Lift an in-place rule to a transition over frozen snapshots; a
+    rule's return value (a due revive draw) rides along as
+    ``(state', value)``."""
+
+    def transition(state: SamplerState, *args, **kwargs):
+        scratch = state.thaw()
+        value = rule(scratch, *args, **kwargs)
+        frozen = SamplerState.of(scratch)
+        return frozen if value is None else (frozen, value)
+
+    transition.__doc__ = f":func:`{rule.__name__}` on a frozen snapshot."
+    return transition
+
+
+degrade_transition = _on_snapshot(degrade)
+throttle_transition = _on_snapshot(throttle)
+revive_transition = _on_snapshot(revive_due)
+watch_transition = _on_snapshot(halve)
+allocation_transition = _on_snapshot(allocate)
 
 
 def initial_state(config: CSODConfig) -> SamplerState:
@@ -324,99 +410,18 @@ def initial_state(config: CSODConfig) -> SamplerState:
     return SamplerState(probability=config.initial_probability)
 
 
-def degrade_transition(state: SamplerState, config: CSODConfig) -> SamplerState:
-    """``_degrade_on_allocation``: minus one step, floor-clamped."""
-    floor = config.floor_probability
-    probability = state.probability - config.degradation_per_alloc
-    return replace(
-        state, probability=floor if probability < floor else probability
-    )
-
-
-def throttle_transition(
-    state: SamplerState, now_ns: int, config: CSODConfig
-) -> SamplerState:
-    """``_update_throttle``: half-open window roll, count, engage."""
-    window_ns = throttle_window_ns(config)
-    window_start = state.window_start_ns
-    count = state.window_alloc_count
-    if now_ns - window_start >= window_ns:
-        window_start = now_ns
-        count = 0
-    count += 1
-    probability = state.probability
-    throttled_until = state.throttled_until_ns
-    if count > config.throttle_alloc_threshold and throttled_until <= now_ns:
-        throttled_until = window_start + window_ns
-        probability = config.floor_probability
-    return replace(
-        state,
-        probability=probability,
-        window_start_ns=window_start,
-        window_alloc_count=count,
-        throttled_until_ns=throttled_until,
-    )
-
-
-def revive_transition(
-    state: SamplerState, now_ns: int, config: CSODConfig
-) -> Tuple[SamplerState, bool]:
-    """``_maybe_revive``'s bookkeeping; returns ``(state', draw_made)``.
-
-    The random draw itself is the solver's free variable (the live unit
-    consumes the allocating thread's stream); ``draw_made`` says whether
-    this allocation reaches it.
-    """
-    if state.probability > config.floor_probability:
-        return replace(state, floor_since_ns=-1), False
-    if state.floor_since_ns < 0:
-        return replace(state, floor_since_ns=now_ns), False
-    if now_ns - state.floor_since_ns < revive_period_ns(config):
-        return state, False
-    return replace(state, floor_since_ns=now_ns), True
-
-
-def watch_transition(state: SamplerState, config: CSODConfig) -> SamplerState:
-    """``on_watched``: halve, clamped to [floor, 1.0]."""
-    probability = state.probability * config.watch_degradation_factor
-    probability = max(config.floor_probability, min(1.0, probability))
-    return replace(state, probability=probability)
-
-
-def allocation_transition(
-    state: SamplerState,
-    now_ns: int,
-    config: CSODConfig,
-    watched: bool = False,
-) -> Tuple[SamplerState, bool]:
-    """One full un-pinned allocation step, optionally watched.
-
-    Mirrors ``on_allocation``'s rule order (degrade, throttle, revive)
-    followed by ``on_watched`` when the object ends up watched — which,
-    with a free debug register, it always does ("installation due to
-    availability"), regardless of the draw.  Returns
-    ``(state', revive_draw_made)``.
-    """
-    state = degrade_transition(state, config)
-    state = throttle_transition(state, now_ns, config)
-    state, draw_made = revive_transition(state, now_ns, config)
-    if watched:
-        state = watch_transition(state, config)
-    return state, draw_made
-
-
 def allocations_to_floor(config: CSODConfig, bound: int = 4096) -> int:
     """Minimal watched-allocation count pinning a fresh context at the
     floor *exactly* (no clock advance between allocations), or -1 if
     ``bound`` steps do not reach it.
 
-    With the paper's constants this is 16: the halving dominates the
+    With the paper's constants this is 15: the halving dominates the
     linear degradation, and the clamp lands on the floor exactly.
     """
-    state = initial_state(config)
+    scratch = initial_state(config).thaw()
     for count in range(1, bound + 1):
-        state, _ = allocation_transition(state, 0, config, watched=True)
-        if state.probability <= config.floor_probability:
+        allocate(scratch, 0, config, watched=True)
+        if scratch.probability <= config.floor_probability:
             return count
     return -1
 

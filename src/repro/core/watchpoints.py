@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import CSODConfig, HOTPATH_BATCHED
 from repro.core.policies import ReplacementPolicy, make_policy
 from repro.core.rng import PerThreadRNG
-from repro.core.sampling import ContextRecord, SamplingManagementUnit
-from repro.machine.clock import NANOS_PER_SECOND, VirtualClock
+from repro.core.sampling import ContextRecord, SamplingManagementUnit, aged
+from repro.machine.clock import VirtualClock
 from repro.machine.debug_registers import NUM_USABLE_DEBUG_REGISTERS
 from repro.machine.perf_events import (
     F_GETFL,
@@ -193,15 +193,11 @@ class WatchpointManagementUnit:
     # ------------------------------------------------------------------
     def effective_slot_probability(self, watched: WatchedObject) -> float:
         """The victim-selection probability, decayed by installed age."""
-        base = self._sampling.effective_probability(watched.record)
-        age_ns = self._clock.now_ns - watched.install_time_ns
-        period_ns = int(self._config.watchpoint_age_seconds * NANOS_PER_SECOND)
-        if period_ns <= 0 or age_ns < period_ns:
-            return base
-        # Halve once per full aging period: long-watched, quiet objects
-        # become progressively easier to evict.
-        periods = age_ns // period_ns
-        return base * (0.5 ** min(periods, 60))
+        return aged(
+            self._sampling.effective_probability(watched.record),
+            self._clock.now_ns - watched.install_time_ns,
+            self._config,
+        )
 
     # ------------------------------------------------------------------
     # Internals

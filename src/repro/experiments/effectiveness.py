@@ -17,13 +17,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.asan import ASanRuntime
 from repro.core import CSODConfig, CSODRuntime
-from repro.core.config import POLICY_NAIVE, POLICY_NEAR_FIFO, POLICY_RANDOM
+from repro.core.config import POLICIES, POLICY_RANDOM
 from repro.experiments import paper_data
 from repro.experiments.tables import render_table
 from repro.workloads.base import SimProcess
 from repro.workloads.buggy import BUGGY_APPS, app_for
 
-POLICIES = (POLICY_NAIVE, POLICY_RANDOM, POLICY_NEAR_FIFO)
 DEFAULT_RUNS = 200
 
 
@@ -91,11 +90,7 @@ def run_table2(
                 runs=runs,
                 detections=detections,
                 evidence_detections=evidence,
-                paper={
-                    POLICY_NAIVE: paper_data.TABLE2[name][0],
-                    POLICY_RANDOM: paper_data.TABLE2[name][1],
-                    POLICY_NEAR_FIFO: paper_data.TABLE2[name][2],
-                },
+                paper=dict(zip(POLICIES, paper_data.TABLE2[name])),
             )
         )
     return rows

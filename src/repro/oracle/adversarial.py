@@ -40,11 +40,13 @@ from repro.core.rng import PerThreadRNG
 from repro.core.runtime import CSODRuntime
 from repro.core.sampling import (
     SamplerState,
+    allocate,
     allocation_transition,
     allocations_to_floor,
     initial_state,
     revive_period_ns,
     throttle_window_ns,
+    throttled,
 )
 from repro.detectors.gwp_asan import GwpAsanConfig, GwpAsanRuntime
 from repro.errors import WorkloadError
@@ -318,6 +320,16 @@ def _victim_op(rng: random.Random) -> Tuple:
     return ("alloc", 0, rng.choice(_VICTIM_SIZES), True, False)
 
 
+def _allocate_run(node: _Node, count: int, config: CSODConfig) -> _Node:
+    """``count`` victim-context allocations at the node's clock, each
+    watched iff a debug register is free."""
+    scratch = node.sampler.thaw()
+    watched = node.armed < NUM_USABLE_DEBUG_REGISTERS
+    for _ in range(count):
+        allocate(scratch, node.now_ns, config, watched)
+    return replace(node, sampler=SamplerState.of(scratch))
+
+
 def _apply_macro(
     node: _Node, action: Tuple, config: CSODConfig
 ) -> Tuple[_Node, Tuple[Tuple, ...]]:
@@ -328,16 +340,10 @@ def _apply_macro(
         # each is installed unconditionally ("installation due to
         # availability"), so the halving per pair is deterministic.
         count = action[1]
-        sampler = node.sampler
-        watched = node.armed < NUM_USABLE_DEBUG_REGISTERS
-        for _ in range(count):
-            sampler, _ = allocation_transition(
-                sampler, node.now_ns, config, watched=watched
-            )
         ops = tuple(
             ("alloc", 0, _PING_SIZE, False, True) for _ in range(count)
         )
-        return replace(node, sampler=sampler), ops
+        return _allocate_run(node, count, config), ops
     if kind == "block":
         # Long-lived allocations from non-victim contexts occupy every
         # debug register (availability installs them back to back).
@@ -350,16 +356,10 @@ def _apply_macro(
     if kind == "burst":
         # A rapid same-window allocation run from the victim context.
         count = action[1]
-        sampler = node.sampler
-        watched = node.armed < NUM_USABLE_DEBUG_REGISTERS
-        for _ in range(count):
-            sampler, _ = allocation_transition(
-                sampler, node.now_ns, config, watched=watched
-            )
         ops = tuple(
             ("alloc", 0, _BURST_SIZE, False, True) for _ in range(count)
         )
-        return replace(node, sampler=sampler), ops
+        return _allocate_run(node, count, config), ops
     if kind == "advance":
         delta = action[1]
         return replace(node, now_ns=node.now_ns + delta), (
@@ -390,7 +390,7 @@ def _macro_menu(node: _Node, config: CSODConfig) -> List[Tuple]:
     ]
     if node.armed == 0:
         menu.append(("block", NUM_USABLE_DEBUG_REGISTERS))
-    if node.sampler.throttled_until_ns > node.now_ns:
+    if throttled(node.sampler, node.now_ns):
         menu.append(("edge",))
     return menu
 
@@ -405,7 +405,7 @@ def _predicate_holds(target: str, node: _Node, config: CSODConfig) -> bool:
         return (
             node.sampler.probability == floor
             and node.armed < NUM_USABLE_DEBUG_REGISTERS
-            and node.sampler.throttled_until_ns <= node.now_ns
+            and not throttled(node.sampler, node.now_ns)
         )
     if target == TARGET_THROTTLE_EDGE:
         # The victim allocation lands on the first nanosecond past the
@@ -778,15 +778,14 @@ def _probe_csod_corner(program: OracleProgram) -> CornerReport:
 
     sampling.on_allocation = spy_on_allocation
 
-    throttle_calls: List[Tuple[int, int, int, int]] = []
+    # (now, window start before the update, sampler state after it)
+    throttle_calls: List[Tuple[int, int, SamplerState]] = []
     original_throttle = sampling._update_throttle
 
     def spy_throttle(record):
         before = (clock.now_ns, record.window_start_ns)
         original_throttle(record)
-        throttle_calls.append(
-            before + (record.window_alloc_count, record.throttled_until_ns)
-        )
+        throttle_calls.append(before + (SamplerState.of(record),))
 
     sampling._update_throttle = spy_throttle
 
@@ -840,27 +839,28 @@ def _probe_csod_corner(program: OracleProgram) -> CornerReport:
             "floor": floor,
         }
     elif target == TARGET_THROTTLE_EDGE:
-        now, window_start, count_after, throttled_until = throttle_calls[-1]
+        now, window_start, after = throttle_calls[-1]
         window_ns = throttle_window_ns(config)
         on_boundary = now == window_start + window_ns
         engaged_before = any(
-            t_until == w_start + window_ns and t_until > t_now
-            for t_now, w_start, _count, t_until in throttle_calls[:-1]
+            state.throttled_until_ns == w_start + window_ns
+            and throttled(state, t_now)
+            for t_now, w_start, state in throttle_calls[:-1]
         )
         # The boundary allocation opens the next window (count resets
-        # to 1) and is NOT throttled: ``throttled_until > now`` is
-        # false at the expiry instant.
-        not_throttled = throttled_until <= now
+        # to 1) and is NOT throttled: the throttle no longer applies at
+        # its expiry instant.
+        throttled_at_victim = throttled(after, now)
         report.reached = on_boundary and engaged_before and (
-            count_after == 1
-        ) and not_throttled
+            after.window_alloc_count == 1
+        ) and not throttled_at_victim
         report.details = {
             "victim_now_ns": now,
             "window_start_ns": window_start,
             "window_ns": window_ns,
-            "count_after": count_after,
+            "count_after": after.window_alloc_count,
             "engaged_before": engaged_before,
-            "throttled_at_victim": not not_throttled,
+            "throttled_at_victim": throttled_at_victim,
         }
     elif target == TARGET_WATCH_EXHAUST:
         armed, free = watch_states[-1] if watch_states else (-1, -1)

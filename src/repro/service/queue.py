@@ -27,10 +27,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import POLICY_NAIVE, POLICY_NEAR_FIFO, POLICY_RANDOM
+from repro.core.config import POLICIES, POLICY_NEAR_FIFO
 from repro.errors import ServiceError, WorkloadError
-
-POLICIES = (POLICY_NAIVE, POLICY_RANDOM, POLICY_NEAR_FIFO)
 
 STATE_QUEUED = "queued"
 STATE_RUNNING = "running"

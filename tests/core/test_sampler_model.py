@@ -52,13 +52,7 @@ def stack(name="alloc", frame_size=48):
 
 def snapshot(record):
     """The live record projected onto the pure state's fields."""
-    return SamplerState(
-        probability=record.probability,
-        window_start_ns=record.window_start_ns,
-        window_alloc_count=record.window_alloc_count,
-        throttled_until_ns=record.throttled_until_ns,
-        floor_since_ns=record.floor_since_ns,
-    )
+    return SamplerState.of(record)
 
 
 def test_initial_state_matches_fresh_record_pre_rules():

@@ -173,15 +173,7 @@ class SamplerMachine(RuleBasedStateMachine):
         for ctx, record in self.records.items():
             if ctx in self.pinned:
                 continue
-            model = self.models[ctx]
-            live = SamplerState(
-                probability=record.probability,
-                window_start_ns=record.window_start_ns,
-                window_alloc_count=record.window_alloc_count,
-                throttled_until_ns=record.throttled_until_ns,
-                floor_since_ns=record.floor_since_ns,
-            )
-            assert live == model
+            assert SamplerState.of(record) == self.models[ctx]
 
 
 SamplerMachine.TestCase.settings = settings(

@@ -2,16 +2,17 @@
 
 Pins the fixes audited alongside the batched hot path:
 
-* ``_degrade_on_allocation`` and ``_clamp`` floor/pin behaviour — a
+* the spec's ``degrade``/``halve`` floor clamp and the evidence pin — a
   probability may land *exactly on* the floor but never below it, and a
-  pinned (evidence) context dominates every clamp;
+  pinned (evidence) context's effective probability is 1.0 whatever its
+  stored probability;
 * the half-open throttle window ``[start, start + window)`` — an
   allocation arriving exactly at ``start + window`` opens the next
   window and is counted there, and a throttle whose expiry equals "now"
   no longer applies.
 
-Both hot paths inline these rules, so the equivalence harness extends
-every behaviour pinned here to the batched driver.
+The batched driver inlines these rules; ``test_fastpath_spec.py`` and
+the equivalence harness extend every behaviour pinned here to it.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from repro.callstack.contexts import ContextInterner
 from repro.callstack.frames import CallSite, CallStack
 from repro.core.config import CSODConfig
 from repro.core.rng import PerThreadRNG
-from repro.core.sampling import SamplingManagementUnit
+from repro.core.sampling import SamplingManagementUnit, effective, halve
 from repro.machine.clock import NANOS_PER_SECOND, VirtualClock
 
 
@@ -78,20 +79,26 @@ def test_watch_halving_clamps_to_floor():
 
 
 # ----------------------------------------------------------------------
-# Pin (evidence) dominance in _clamp
+# Pin (evidence) dominance and the [floor, 1.0] clamp in the spec
 # ----------------------------------------------------------------------
 def test_clamp_pinned_record_always_returns_one():
-    unit, _ = make_unit()
+    config = CSODConfig()
+    unit, clock = make_unit(config)
     record = unit.on_allocation(stack())
     unit.boost_to_certain(record)
-    assert unit._clamp(0.0001, record) == 1.0
-    assert unit._clamp(0.0, record) == 1.0
+    for stored in (0.0001, 0.0):
+        record.probability = stored
+        assert effective(record, True, clock.now_ns, config) == 1.0
+        assert unit.effective_probability(record) == 1.0
 
 
 def test_clamp_caps_at_one_from_above():
-    unit, _ = make_unit()
+    config = CSODConfig()
+    unit, _ = make_unit(config)
     record = unit.on_allocation(stack())
-    assert unit._clamp(1.7, record) == 1.0
+    record.probability = 3.4  # halves to 1.7
+    halve(record, config)
+    assert record.probability == 1.0
 
 
 def test_pinned_record_survives_watch_halving():
