@@ -453,9 +453,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers < 0:
+    if args.workers < 1:
         print(
-            f"repro fleet: error: --workers must be >= 0, got {args.workers}",
+            f"repro fleet: error: --workers must be >= 1, got {args.workers}",
             file=sys.stderr,
         )
         return 2

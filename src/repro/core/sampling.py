@@ -332,9 +332,6 @@ class SamplingManagementUnit:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def record_for(self, key: ContextKey) -> Optional[ContextRecord]:
-        return self._table.get(key)
-
     def records(self) -> Iterator[ContextRecord]:
         return self._table.values()
 

@@ -53,9 +53,11 @@ class WatchedObject:
     watch_address: int  # the boundary/canary word
     record: ContextRecord
     install_time_ns: int
-    # "The probability of the new OBJECT": frozen at installation and
-    # decayed only by age — replacement compares object probabilities,
-    # not the live (already watch-halved) context probability (§III-C2).
+    # The probability the object was sampled with, frozen at
+    # installation.  Only diagnostics read it: replacement ages the
+    # live (already watch-halved) context probability instead
+    # (effective_slot_probability), not §III-C2's frozen object
+    # probability — the deviation EXPERIMENTS.md's Table IV note covers.
     install_probability: float = 0.0
     slot_index: int = -1
     # One perf-event fd per alive thread the watchpoint is armed on.

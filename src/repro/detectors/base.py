@@ -2,9 +2,10 @@
 
 A *detector arm* is one memory-safety detector wired into the
 differential oracle: CSOD and its ablations, plus the production
-baselines the paper compares against.  Every arm implements the same
-contract so the oracle, the fleet scheduler, triage, and the perf model
-can treat "which detector" as data instead of hard-coded call sites.
+baselines the paper compares against.  Each arm is one
+:class:`Detector` row in the registry, so the oracle, the fleet
+scheduler, triage, and the perf model can treat "which detector" as
+data instead of hard-coded call sites.
 
 Lifecycle contract (mirrors how every runtime in this repo behaves):
 
@@ -27,8 +28,8 @@ runtime produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ReproError
 
@@ -68,26 +69,21 @@ class DetectorReport:
         }
 
 
+@dataclass(frozen=True)
 class Detector:
-    """One arm of the cross-detector study.
+    """One arm of the cross-detector study: the fields callers read.
 
-    Subclasses fill in the class attributes and exactly one of the two
-    execution styles:
-
-    * **fleet arms** (the CSOD family) provide :meth:`config` — a
-      :class:`~repro.core.config.CSODConfig` the fleet pool builds
-      runtimes from — and :meth:`classify`, which folds a program's
-      fleet execution results into an
-      :class:`~repro.oracle.harness.ArmObservation`.
-    * **inline arms** (asan, guardpage, gwp-asan, doubletake) provide
-      :meth:`observe`, which runs the program under the arm's own
-      runtime and judges the reports itself.
+    Running and judging an arm is not the record's job: the oracle
+    harness (:mod:`repro.oracle.harness`) does both.  Fleet arms (the
+    CSOD family) carry a ``config_factory`` building the
+    :class:`~repro.core.config.CSODConfig` the fleet pool runs; inline
+    arms leave it unset and run through the harness's observers.
     """
 
     #: Canonical arm name (`repro oracle --arms` spelling).
-    name: str = ""
+    name: str
     #: One-line description for docs and ``--arms`` error listings.
-    summary: str = ""
+    summary: str
     #: Whether the arm is deployable fleet-wide in production.  ASan's
     #: ~73% overhead keeps it a CI/testing tool; everything else here
     #: ships (or is designed to ship) on end-user machines.
@@ -97,31 +93,21 @@ class Detector:
     #: bug.  Sources: the CSOD paper's geo-means for the CSOD family
     #: and ASan; published figures for the baselines.
     modeled_overhead_pct: float = 0.0
-    #: True when the arm executes through the fleet pool (CSOD family).
-    fleet: bool = False
     #: Ledger event names the arm's checks charge costs under.
     cost_events: Tuple[str, ...] = ()
+    #: Builds the CSODConfig fleet runtimes run under (fleet arms only).
+    config_factory: Optional[Callable[[], object]] = None
 
-    # -- fleet arms -----------------------------------------------------
+    @property
+    def fleet(self) -> bool:
+        """True when the arm executes through the fleet pool."""
+        return self.config_factory is not None
+
     def config(self):
         """The CSODConfig the fleet builds this arm's runtimes from."""
-        raise ReproError(f"detector arm {self.name!r} is not a fleet arm")
-
-    def classify(self, program, results):
-        """Fold fleet ExecutionResults into an ArmObservation."""
-        raise ReproError(f"detector arm {self.name!r} is not a fleet arm")
-
-    # -- inline arms ----------------------------------------------------
-    def observe(self, program, seed: int):
-        """Run ``program`` under this arm once and judge the reports."""
-        raise ReproError(
-            f"detector arm {self.name!r} runs through the fleet pool"
-        )
-
-    # -- shared ---------------------------------------------------------
-    def expected_kinds(self, truth) -> Tuple[str, ...]:
-        """Report kinds that count as a true detection for ``truth``."""
-        raise NotImplementedError
+        if self.config_factory is None:
+            raise ReproError(f"detector arm {self.name!r} is not a fleet arm")
+        return self.config_factory()
 
     def describe(self) -> Dict[str, object]:
         """Stable JSON-able self-description (docs, ``--arms`` help)."""

@@ -370,10 +370,6 @@ class FleetPool:
     # ------------------------------------------------------------------
     # Cancellation
     # ------------------------------------------------------------------
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop.is_set()
-
     def request_stop(self) -> None:
         """Ask the pool to abandon in-flight work at the next boundary.
 

@@ -43,10 +43,6 @@ class Histogram:
     def observe(self, value: float) -> None:
         self._values.append(float(value))
 
-    def observe_many(self, values) -> None:
-        """Fold in a batch of observations (e.g. one chunk's walls)."""
-        self._values.extend(float(value) for value in values)
-
     @property
     def count(self) -> int:
         return len(self._values)

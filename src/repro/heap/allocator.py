@@ -124,13 +124,6 @@ class FreeListAllocator:
                 return aligned
         raise OutOfMemoryError(size)
 
-    def _take(self, index: int, start: int, block_size: int, extent: int) -> None:
-        remainder = extent - block_size
-        if remainder:
-            self._free[index] = (start + block_size, remainder)
-        else:
-            del self._free[index]
-
     def _record_alloc(self, address: int, block_size: int) -> None:
         self._live[address] = block_size
         self._freed_once.discard(address)
@@ -177,33 +170,6 @@ class FreeListAllocator:
                 free[lo - 1] = (pstart, psize + merged)
                 del free[lo]
         return size
-
-    def _insert_free(self, address: int, size: int) -> None:
-        # Keep the list address-ordered and coalesce both neighbours.
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid][0] < address:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._free.insert(lo, (address, size))
-        self._coalesce_around(lo)
-
-    def _coalesce_around(self, index: int) -> None:
-        # Merge with the successor first, then the predecessor.
-        if index + 1 < len(self._free):
-            start, size = self._free[index]
-            nstart, nsize = self._free[index + 1]
-            if start + size == nstart:
-                self._free[index] = (start, size + nsize)
-                del self._free[index + 1]
-        if index > 0:
-            pstart, psize = self._free[index - 1]
-            start, size = self._free[index]
-            if pstart + psize == start:
-                self._free[index - 1] = (pstart, psize + size)
-                del self._free[index]
 
     # ------------------------------------------------------------------
     # Introspection

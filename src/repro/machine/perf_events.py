@@ -293,9 +293,6 @@ class PerfEventManager:
         """Look up a live event by fd (for tests and the signal unit)."""
         return self._event(fd)
 
-    def open_events(self) -> Dict[int, PerfEvent]:
-        return dict(self._events)
-
     def enabled_event_count(self) -> int:
         return sum(1 for e in self._events.values() if e.enabled)
 

@@ -48,10 +48,12 @@ from repro.core.sampling import (
     throttle_window_ns,
     throttled,
 )
+from repro.detectors import get as get_detector
 from repro.detectors.gwp_asan import GwpAsanConfig, GwpAsanRuntime
 from repro.errors import WorkloadError
 from repro.machine.debug_registers import NUM_USABLE_DEBUG_REGISTERS
 from repro.oracle.grammar import (
+    ARM_CSOD,
     DEFECT_OVER_READ,
     DEFECT_OVER_WRITE,
     GroundTruth,
@@ -520,9 +522,6 @@ def _solve_gwp_target(
 
 
 def _csod_arm_config() -> CSODConfig:
-    from repro.detectors import get as get_detector
-    from repro.oracle.grammar import ARM_CSOD
-
     return get_detector(ARM_CSOD).config()
 
 
@@ -696,12 +695,6 @@ def solve_program(
         program = lower(solution)
         _program_cache[key] = program
     return program
-
-
-def solution_for(seed: int, target: str) -> Solution:
-    """The (cached) solver witness for one corner."""
-    solve_program(seed, target)
-    return _solution_cache[(seed, target)]
 
 
 def program_from_name(name: str) -> OracleProgram:

@@ -35,6 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+from repro.detectors import (
+    ARM_DOUBLETAKE,
+    ARM_GWP_ASAN,
+    fleet_arms,
+    known_arms,
+)
 from repro.errors import WorkloadError
 
 # Defect classes the grammar can inject.
@@ -80,19 +86,9 @@ ARM_CSOD_RANDOM = "csod-random"  # evidence + watchpoints, random replacement
 ARM_CSOD_NOEVIDENCE = "csod-noevidence"  # watchpoints only, no canary
 ARM_ASAN = "asan"
 ARM_GUARDPAGE = "guardpage"
-ARM_GWP_ASAN = "gwp-asan"
-ARM_DOUBLETAKE = "doubletake"
 
-ALL_ARMS: Tuple[str, ...] = (
-    ARM_CSOD,
-    ARM_CSOD_RANDOM,
-    ARM_CSOD_NOEVIDENCE,
-    ARM_ASAN,
-    ARM_GUARDPAGE,
-    ARM_GWP_ASAN,
-    ARM_DOUBLETAKE,
-)
-CSOD_ARMS: Tuple[str, ...] = (ARM_CSOD, ARM_CSOD_RANDOM, ARM_CSOD_NOEVIDENCE)
+ALL_ARMS: Tuple[str, ...] = known_arms()
+CSOD_ARMS: Tuple[str, ...] = fleet_arms()
 
 # Capability levels.
 CAP_DETERMINISTIC = "deterministic"

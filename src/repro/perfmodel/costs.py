@@ -60,18 +60,6 @@ CSOD_OVERHEAD_EVENTS = (
 # (the access-check side is analytic; see accounting.py).
 ASAN_ALLOC_EVENTS = (EVENT_ASAN_POISON, EVENT_ASAN_CHECK)
 
-# Baseline-arm event lists (defined next to the runtimes that charge
-# them, re-exported here like everything else in this module).
-from repro.detectors.doubletake import (  # noqa: E402
-    DOUBLETAKE_OVERHEAD_EVENTS,
-)
-from repro.detectors.gwp_asan import (  # noqa: E402
-    GWP_ASAN_OVERHEAD_EVENTS,
-)
-from repro.guardpage.runtime import (  # noqa: E402
-    GUARDPAGE_OVERHEAD_EVENTS,
-)
-
 # Relative extra cost of default (size-scaled) redzones over minimal
 # 16-byte ones: more bytes poisoned per allocation plus cache pressure.
 ASAN_DEFAULT_REDZONE_FACTOR = 1.10
@@ -80,9 +68,6 @@ __all__ = [
     "CSOD_INIT_COST_S",
     "CSOD_OVERHEAD_EVENTS",
     "ASAN_ALLOC_EVENTS",
-    "GUARDPAGE_OVERHEAD_EVENTS",
-    "GWP_ASAN_OVERHEAD_EVENTS",
-    "DOUBLETAKE_OVERHEAD_EVENTS",
     "ASAN_DEFAULT_REDZONE_FACTOR",
     "LOOKUP_COST_NS",
     "RNG_DRAW_COST_NS",

@@ -85,8 +85,7 @@ def test_resolve_arms_rejects_unknown():
 
 
 def test_duplicate_registration_rejected():
-    dup = Detector()
-    dup.name = "csod"
+    dup = Detector(name="csod", summary="a second csod row")
     with pytest.raises(ReproError):
         register(dup)
 

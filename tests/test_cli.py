@@ -138,6 +138,7 @@ def test_fleet_share_evidence_writes_store(tmp_path, capsys):
         (["fleet", "--app", "libtiff", "--chunk-size", "0"], "--chunk-size"),
         (["fleet", "--app", "libtiff", "--timeout", "0"], "--timeout"),
         (["fleet", "--app", "libtiff", "--timeout", "-2.5"], "--timeout"),
+        (["fleet", "--app", "libtiff", "--workers", "0"], "--workers"),
     ],
 )
 def test_fleet_rejects_bad_values_naming_the_flag(argv, flag, capsys):
