@@ -3,15 +3,20 @@
 The paper's table is keyed by (first-level return address, stack offset),
 sized "to a large number to reduce hash conflicts", with a linked list
 per bucket protected by its own lock.  Python dicts would hide all of
-that, so this module models the structure explicitly: a fixed bucket
-array with chaining, per-bucket lock acquisition counted in the ledger,
-and bucket-conflict statistics — letting the ablation benchmarks show
-what the paper's sizing decision buys.
+that, so this module models the structure explicitly: bucket indexing
+over the paper's fixed array, chaining, per-bucket lock acquisition
+counted in the ledger, and bucket-conflict statistics.
+
+The fixed array is a modelled cost (Table V's ``CSOD_FIXED_KB`` in
+``repro.perfmodel.memory``), not a Python allocation: only the chains a
+run touches are stored, each created by the first ``put`` to its bucket.
+Every charge and statistic is that of the full array, because an absent
+chain is an empty bucket.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.callstack.contexts import ContextKey
 from repro.machine.syscall_cost import CostLedger, EVENT_CONTEXT_LOOKUP
@@ -27,7 +32,12 @@ V = TypeVar("V")
 
 
 class ContextHashTable(Generic[V]):
-    """Fixed-bucket chained hash table keyed by :class:`ContextKey`."""
+    """Fixed-bucket chained hash table keyed by :class:`ContextKey`.
+
+    Charges and statistics are those of ``bucket_count`` buckets; Python
+    holds only the non-empty chains, keyed by bucket index.  A lookup
+    never creates a chain.
+    """
 
     def __init__(
         self,
@@ -36,9 +46,7 @@ class ContextHashTable(Generic[V]):
     ):
         if bucket_count <= 0:
             raise ValueError(f"bucket count must be positive, got {bucket_count}")
-        self._buckets: List[List[Tuple[ContextKey, V]]] = [
-            [] for _ in range(bucket_count)
-        ]
+        self._chains: Dict[int, List[Tuple[ContextKey, V]]] = {}
         self._bucket_count = bucket_count
         self._ledger = ledger or CostLedger()
         self._size = 0
@@ -50,7 +58,7 @@ class ContextHashTable(Generic[V]):
         h = (key.first_level_ra * 0x9E3779B1) ^ (key.stack_offset * 0x85EBCA77)
         return (h >> 4) % self._bucket_count
 
-    def _find(self, bucket: List[Tuple[ContextKey, V]], key: ContextKey) -> int:
+    def _find(self, bucket: Sequence[Tuple[ContextKey, V]], key: ContextKey) -> int:
         for i, (existing, _) in enumerate(bucket):
             self.chain_walk_steps += 1
             if existing == key:
@@ -61,7 +69,7 @@ class ContextHashTable(Generic[V]):
         """Look up a key; charges one hot-path lookup to the ledger."""
         self._ledger.record(EVENT_CONTEXT_LOOKUP, nanos_each=LOOKUP_COST_NS)
         self.lock_acquisitions += 1  # the per-bucket list lock
-        bucket = self._buckets[self._bucket_index(key)]
+        bucket = self._chains.get(self._bucket_index(key), ())
         index = self._find(bucket, key)
         return bucket[index][1] if index >= 0 else None
 
@@ -74,7 +82,7 @@ class ContextHashTable(Generic[V]):
         an equivalent :meth:`get`.
         """
         self.lock_acquisitions += 1
-        bucket = self._buckets[self._bucket_index(key)]
+        bucket = self._chains.get(self._bucket_index(key), ())
         index = self._find(bucket, key)
         return bucket[index][1] if index >= 0 else None
 
@@ -94,7 +102,7 @@ class ContextHashTable(Generic[V]):
     def put(self, key: ContextKey, value: V) -> None:
         """Insert or replace under the bucket lock."""
         self.lock_acquisitions += 1
-        bucket = self._buckets[self._bucket_index(key)]
+        bucket = self._chains.setdefault(self._bucket_index(key), [])
         index = self._find(bucket, key)
         if index >= 0:
             bucket[index] = (key, value)
@@ -103,9 +111,9 @@ class ContextHashTable(Generic[V]):
             self._size += 1
 
     def items(self) -> Iterator[Tuple[ContextKey, V]]:
-        for bucket in self._buckets:
-            for key, value in bucket:
-                yield key, value
+        """Ascending bucket index, then insertion order within a chain."""
+        for bucket_index in sorted(self._chains):
+            yield from self._chains[bucket_index]
 
     def values(self) -> Iterator[V]:
         for _, value in self.items():
@@ -113,14 +121,14 @@ class ContextHashTable(Generic[V]):
 
     def conflicted_buckets(self) -> int:
         """Buckets holding more than one context (hash conflicts)."""
-        return sum(1 for bucket in self._buckets if len(bucket) > 1)
+        return sum(1 for bucket in self._chains.values() if len(bucket) > 1)
 
     def max_chain_length(self) -> int:
-        return max((len(bucket) for bucket in self._buckets), default=0)
+        return max((len(bucket) for bucket in self._chains.values()), default=0)
 
     def __len__(self) -> int:
         return self._size
 
     def __contains__(self, key: ContextKey) -> bool:
-        bucket = self._buckets[self._bucket_index(key)]
+        bucket = self._chains.get(self._bucket_index(key), ())
         return self._find(bucket, key) >= 0

@@ -1,5 +1,7 @@
 """The bucketed calling-context hash table."""
 
+import tracemalloc
+
 import pytest
 
 from repro.callstack.contexts import ContextKey
@@ -87,3 +89,43 @@ def test_lookup_cost_charged():
 def test_invalid_bucket_count():
     with pytest.raises(ValueError):
         ContextHashTable(bucket_count=0)
+
+
+def test_empty_table_statistics():
+    table = ContextHashTable()
+    assert len(table) == 0
+    assert table.conflicted_buckets() == 0
+    assert table.max_chain_length() == 0
+
+
+def test_items_ascend_by_bucket_then_insertion_order():
+    # The order records() yields: the termination sweep, the fleet's
+    # new_evidence and diagnostics all read it.
+    table = ContextHashTable(bucket_count=4)
+    keys = [key(ra=ra) for ra in range(12)]
+    inserted = sorted(
+        keys, key=lambda k: (-table._bucket_index(k), -k.first_level_ra)
+    )
+    for position, k in enumerate(inserted):
+        table.put(k, position)
+    assert table.max_chain_length() > 1
+    assert len({table._bucket_index(k) for k in keys}) > 1
+    expected = sorted(inserted, key=table._bucket_index)  # stable sort
+    assert [k for k, _ in table.items()] == expected
+    assert list(table.values()) == [inserted.index(k) for k in expected]
+
+
+def test_fresh_table_and_missed_lookups_allocate_little():
+    # The paper's fixed bucket array is a modelled cost: neither
+    # construction nor a lookup may allocate Python buckets.
+    keys = [key(ra=0x400000 + i * 0x20, offset=i * 16) for i in range(2000)]
+    tracemalloc.start()
+    try:
+        table = ContextHashTable()
+        for k in keys:
+            assert table.get(k) is None
+            assert k not in table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

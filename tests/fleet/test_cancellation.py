@@ -8,7 +8,6 @@ workers, dispose the executor, and still drain the campaign event into
 the metrics/event log.
 """
 
-import threading
 import time
 
 import pytest
@@ -49,22 +48,25 @@ def test_pre_stopped_parallel_pool_raises_before_dispatch():
     assert pool.executor is None
 
 
-def test_stop_mid_wave_terminates_worker_processes():
-    pool = FleetPool(workers=2)
+def test_stop_mid_wave_terminates_worker_processes(monkeypatch):
+    pool = FleetPool(workers=2, chunk_size=1)
     # Warm the pool with a tiny wave so worker processes exist.
     pool.run_wave(_specs(2))
     pids = _pids(pool)
     assert pids, "expected live worker processes"
 
-    # Fire the stop from another thread while a bigger wave runs: the
-    # sliced future wait must notice within a poll slice and unwind.
-    stopper = threading.Timer(0.1, pool.request_stop)
-    stopper.start()
-    try:
-        with pytest.raises(CampaignCancelled):
-            pool.run_wave(_specs(64))
-    finally:
-        stopper.cancel()
+    # Request the stop once the bigger wave's first chunk is ingested,
+    # so it lands mid-wave however fast executions are: the dispatch
+    # loop must notice before its next chunk and unwind.
+    ingest = pool._ingest
+
+    def ingest_then_stop(*args):
+        ingest(*args)
+        pool.request_stop()
+
+    monkeypatch.setattr(pool, "_ingest", ingest_then_stop)
+    with pytest.raises(CampaignCancelled):
+        pool.run_wave(_specs(64))
 
     assert pool.executor is None  # disposed, not leaked
     deadline = time.monotonic() + 10.0
@@ -117,38 +119,33 @@ def test_cancelled_campaign_drains_telemetry(tmp_path):
     assert campaign_events[0]["executions"] == 2
 
 
-def test_run_fleet_drains_telemetry_on_cancel(tmp_path):
+def test_run_fleet_drains_telemetry_on_cancel(tmp_path, monkeypatch):
     """The run_fleet wrapper finishes (cancelled) before re-raising."""
     from repro.fleet.runner import run_fleet
 
     log_path = tmp_path / "telemetry.jsonl"
     campaign_holder = {}
 
-    # Cancel from a timer thread, as Ctrl-C or a service cancel would.
-    original_init = FleetCampaign.__init__
+    # Cancel once the first wave is done, as Ctrl-C or a service cancel
+    # would mid-campaign; the next wave must raise.
+    run_next_wave = FleetCampaign.run_next_wave
 
-    def capturing_init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
+    def run_wave_then_cancel(self):
+        progress = run_next_wave(self)
         campaign_holder["campaign"] = self
+        self.cancel()
+        return progress
 
+    monkeypatch.setattr(FleetCampaign, "run_next_wave", run_wave_then_cancel)
     with JsonlEventLog(str(log_path)) as log:
-        FleetCampaign.__init__ = capturing_init
-        try:
-            timer = threading.Timer(
-                0.3, lambda: campaign_holder["campaign"].cancel()
+        with pytest.raises(CampaignCancelled):
+            run_fleet(
+                "gzip",
+                executions=500,
+                workers=1,
+                wave_size=2,
+                event_log=log,
             )
-            timer.start()
-            with pytest.raises(CampaignCancelled):
-                run_fleet(
-                    "gzip",
-                    executions=500,
-                    workers=1,
-                    wave_size=2,
-                    event_log=log,
-                )
-            timer.cancel()
-        finally:
-            FleetCampaign.__init__ = original_init
 
     from repro.fleet.telemetry import read_jsonl
 
