@@ -60,7 +60,7 @@ from repro.core.reporting import (
     OverflowReport,
     SOURCE_FREE_CANARY,
 )
-from repro.core.rng import DRAW_BLOCK_SIZE, RNG_DRAW_COST_NS, _UNIFORM_SCALE
+from repro.core.rng import RNG_DRAW_COST_NS, _UNIFORM_SCALE
 from repro.core.context_key import LOOKUP_COST_NS
 from repro.core.sampling import revive_period_ns, throttle_window_ns
 from repro.core.watchpoints import WatchedObject
@@ -229,10 +229,6 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
             raise ValueError(
                 "the unrolled free-slot scan assumes 4 debug registers"
             )
-        if DRAW_BLOCK_SIZE != 256:
-            raise ValueError(
-                "the inline draw assumes 256-entry RNG blocks"
-            )
         sampling = self._sampling
         # Unit internals, hoisted once.  The fast drivers and the legacy
         # units share this state, so cold paths (memalign, the signal
@@ -265,12 +261,6 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
         stream = self._streams.get(tid)
         if stream is None:
             stream = self._streams[tid] = self._rng.stream(tid)
-            if not stream._block:
-                # Prime the draw buffer so the inline draw can test the
-                # read position against the literal block size.  The
-                # refill only precomputes the same deterministic
-                # sequence; draw order is unchanged.
-                stream._refill()
         return stream
 
     def _uniform_fn(self, tid: int):
@@ -627,17 +617,19 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
                     if lclk is not None:
                         cnow += _RNG_DRAW_NS
                         lclk._now_ns = cnow
-                    # One buffered draw, inline (rng.uniform's body; the
-                    # driver's streams are primed, so the block length
-                    # is always DRAW_BLOCK_SIZE).
+                    # One buffered draw, inline (rng.uniform's body:
+                    # blocks grow from a few values up to
+                    # DRAW_BLOCK_SIZE, so test against this block's
+                    # length).
                     s = streams_get(tid)
                     if s is None:
                         s = stream_for(tid)
                     pos = s._pos
-                    if pos >= 256:
+                    block = s._block
+                    if pos >= len(block):
                         s._refill()
                         pos = 0
-                    block = s._block
+                        block = s._block
                     s._pos = pos + 1
                     draw_passed = (block[pos] >> 11) * _UNIFORM_SCALE < probability
 

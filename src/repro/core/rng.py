@@ -11,6 +11,11 @@ every execution is reproducible from its seed.
 The stream is xorshift64* — not OpenBSD's chacha20-based arc4random, but
 the property the paper needs (cheap, uniform, lock-free per thread) is
 preserved, and cryptographic quality is irrelevant to sampling.
+
+A stream computes its values on demand, in blocks that start small and
+double up to :data:`DRAW_BLOCK_SIZE`: an execution that draws twice
+computes eight values, not a full block, while the sequence handed out
+is the same whatever the block sizes.
 """
 
 from __future__ import annotations
@@ -25,9 +30,16 @@ _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 0x2545F4914F6CDD1D
 
 
-# Draws are generated in blocks of this size: the xorshift recurrence
-# runs as one tight local loop per refill instead of paying Python call
-# and attribute overhead on every draw.
+# Draws are generated in blocks: the xorshift recurrence runs as one
+# tight local loop per refill instead of paying Python call and
+# attribute overhead on every draw.  A stream's first block holds
+# FIRST_DRAW_BLOCK_SIZE values and each refill doubles the size up to
+# DRAW_BLOCK_SIZE, so a short execution computes few values it never
+# reads while a long one still draws from full blocks.  Keep the first
+# block at two values or more: one allocation draws at most twice
+# (revive, then sampling), and the fast-path spec test counts those
+# draws assuming they cross at most one refill.
+FIRST_DRAW_BLOCK_SIZE = 8
 DRAW_BLOCK_SIZE = 256
 
 _UNIFORM_SCALE = 1.0 / float(1 << 53)
@@ -38,9 +50,10 @@ class XorShiftStream:
 
     The draw-order contract: ``next_u64``/``uniform``/``below`` consume
     the *same* underlying u64 sequence, in call order, exactly as a
-    draw-at-a-time implementation would — block replenishment is purely
-    an amortization of the generation cost.  The conformance tests in
-    ``tests/core/test_rng.py`` pin this against a serial reference.
+    draw-at-a-time implementation would — block replenishment, and the
+    size of each block, are purely an amortization of the generation
+    cost.  The conformance tests in ``tests/core/test_rng.py`` pin this
+    against a serial reference.
     """
 
     __slots__ = ("_state", "_block", "_pos")
@@ -56,11 +69,14 @@ class XorShiftStream:
 
     def _refill(self) -> None:
         x = self._state
+        size = min(
+            max(2 * len(self._block), FIRST_DRAW_BLOCK_SIZE), DRAW_BLOCK_SIZE
+        )
         block = []
         append = block.append
         mask = _MASK64
         mult = _MULTIPLIER
-        for _ in range(DRAW_BLOCK_SIZE):
+        for _ in range(size):
             x ^= (x >> 12) & mask
             x = (x ^ (x << 25)) & mask
             x ^= x >> 27

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.callstack.backtrace import Backtracer
 from repro.detectors.base import DetectorReport
@@ -99,6 +99,39 @@ class _Slot:
     thread_id: int = 0
 
 
+class _FreeIndexes:
+    """The free list of a pool of ``n`` slots, without materialising it.
+
+    Behaves like ``deque(range(n))`` under ``popleft``/``append``/``len``
+    (callers read ``len`` as the free-slot count): the never-used
+    indexes come out in ascending order before any index appended
+    (recycled) later, but they are a counter, not ``n`` stored integers.
+    """
+
+    __slots__ = ("_next_unused", "_end", "_recycled")
+
+    def __init__(self, n: int):
+        self._next_unused = 0
+        self._end = n
+        self._recycled: Deque[int] = deque()
+
+    def __len__(self) -> int:
+        return self._end - self._next_unused + len(self._recycled)
+
+    def __iter__(self) -> Iterator[int]:
+        yield from range(self._next_unused, self._end)
+        yield from self._recycled
+
+    def popleft(self) -> int:
+        if self._next_unused < self._end:
+            self._next_unused += 1
+            return self._next_unused - 1
+        return self._recycled.popleft()
+
+    def append(self, index: int) -> None:
+        self._recycled.append(index)
+
+
 class GwpAsanSlotPool:
     """The fixed slot pool with interleaved guard pages.
 
@@ -107,17 +140,32 @@ class GwpAsanSlotPool:
     ``2*n`` guards the right edge of the last slot.  Guard pages are
     never mapped — the pool only ever maps slot pages, so guards can
     never overlap a live slot.
+
+    The layout is fixed, but a slot's record is created the first time
+    :meth:`slot` is asked for its index (on acquisition, or when a
+    fault is attributed to it), so a run pays for the slots it touches,
+    not for the whole pool.
     """
 
     def __init__(self, memory, base: int = GWP_REGION_BASE, slots: int = 16):
         self._memory = memory
         self.base = base
-        self.slots: Tuple[_Slot, ...] = tuple(
-            _Slot(index=i, page_base=base + (2 * i + 1) * PAGE_SIZE)
-            for i in range(slots)
-        )
-        self._free: Deque[int] = deque(range(slots))
+        self.slot_count = slots
+        self._slots: Dict[int, _Slot] = {}
+        self._free = _FreeIndexes(slots)
         self._quarantine: Deque[int] = deque()
+
+    def slot(self, index: int) -> _Slot:
+        """Slot ``index``'s record, created (free) on first use."""
+        slot = self._slots.get(index)
+        if slot is None:
+            if not 0 <= index < self.slot_count:
+                raise IndexError(f"slot {index} is outside the pool")
+            slot = self._slots[index] = _Slot(
+                index=index,
+                page_base=self.base + (2 * index + 1) * PAGE_SIZE,
+            )
+        return slot
 
     # -- pool state (also the property-test surface) --------------------
     def free_indexes(self) -> Tuple[int, ...]:
@@ -128,14 +176,14 @@ class GwpAsanSlotPool:
 
     def live_indexes(self) -> Tuple[int, ...]:
         return tuple(
-            s.index for s in self.slots if s.state == STATE_LIVE
+            sorted(i for i, s in self._slots.items() if s.state == STATE_LIVE)
         )
 
     def guard_ranges(self) -> Tuple[Tuple[int, int], ...]:
         """Every guard page as a half-open [start, end) range."""
         return tuple(
             (self.base + 2 * i * PAGE_SIZE, self.base + (2 * i + 1) * PAGE_SIZE)
-            for i in range(len(self.slots) + 1)
+            for i in range(self.slot_count + 1)
         )
 
     # -- transitions ----------------------------------------------------
@@ -143,7 +191,7 @@ class GwpAsanSlotPool:
         """Hand out a free slot (never one still in quarantine)."""
         if not self._free:
             return None
-        slot = self.slots[self._free.popleft()]
+        slot = self.slot(self._free.popleft())
         slot.state = STATE_LIVE
         slot.deallocation_context = ()
         self._memory.map_region(slot.page_base, PAGE_SIZE, name="gwp-slot")
@@ -162,7 +210,7 @@ class GwpAsanSlotPool:
         self._quarantine.append(slot.index)
         recycled: List[_Slot] = []
         while len(self._quarantine) > quarantine_cap:
-            stale = self.slots[self._quarantine.popleft()]
+            stale = self.slot(self._quarantine.popleft())
             stale.state = STATE_FREE
             self._free.append(stale.index)
             recycled.append(stale)
@@ -171,19 +219,19 @@ class GwpAsanSlotPool:
     def slot_at(self, address: int) -> Optional[_Slot]:
         """The slot whose data page covers ``address``, if any."""
         rel = address - self.base
-        if rel < 0 or rel >= (2 * len(self.slots) + 1) * PAGE_SIZE:
+        if rel < 0 or rel >= (2 * self.slot_count + 1) * PAGE_SIZE:
             return None
         page_index = rel // PAGE_SIZE
         if page_index % 2 == 0:
             return None  # a guard page
-        return self.slots[(page_index - 1) // 2]
+        return self.slot((page_index - 1) // 2)
 
     def guard_neighbors(
         self, address: int
     ) -> Tuple[Optional[_Slot], Optional[_Slot]]:
         """(left slot, right slot) around the guard page at ``address``."""
         rel = address - self.base
-        if rel < 0 or rel >= (2 * len(self.slots) + 1) * PAGE_SIZE:
+        if rel < 0 or rel >= (2 * self.slot_count + 1) * PAGE_SIZE:
             return (None, None)
         page_index = rel // PAGE_SIZE
         if page_index % 2 == 1:
@@ -191,8 +239,8 @@ class GwpAsanSlotPool:
         left = page_index // 2 - 1
         right = page_index // 2
         return (
-            self.slots[left] if 0 <= left < len(self.slots) else None,
-            self.slots[right] if right < len(self.slots) else None,
+            self.slot(left) if left >= 0 else None,
+            self.slot(right) if right < self.slot_count else None,
         )
 
 

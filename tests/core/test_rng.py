@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.rng import PerThreadRNG, XorShiftStream
+from repro.core.rng import DRAW_BLOCK_SIZE, PerThreadRNG, XorShiftStream
 from repro.machine.syscall_cost import CostLedger, EVENT_RNG_DRAW
 
 
@@ -117,7 +117,8 @@ def _serial_reference(seed, count):
 
 
 def test_block_replenished_draws_match_serial_order():
-    # 600 draws cross two block boundaries (blocks of 256).
+    # 600 draws cross every block boundary: the growing blocks of 8, 16,
+    # 32, 64 and 128 values, then two full blocks of 256.
     stream = XorShiftStream(seed=42)
     assert [stream.next_u64() for _ in range(600)] == _serial_reference(42, 600)
 
@@ -143,17 +144,34 @@ def test_mixed_draw_kinds_consume_one_sequence():
 
 
 def test_priming_a_stream_does_not_change_its_draws():
-    """The batched driver refills a fresh stream's buffer eagerly.
+    """Where the block boundaries fall is invisible.
 
-    Priming must be invisible: the first draw after an eager ``_refill``
-    is the same first draw a lazy stream produces.
+    A stream refilled before its first draw computes its blocks one
+    refill ahead of a stream that refills on demand; both must hand out
+    the same draws.
     """
     lazy = XorShiftStream(seed=99)
     primed = XorShiftStream(seed=99)
-    primed._refill()  # what FastAllocDealloc._stream does on acquisition
+    primed._refill()  # an eager refill before any draw
     assert [primed.uniform() for _ in range(300)] == [
         lazy.uniform() for _ in range(300)
     ]
+
+
+def test_first_block_is_small_and_blocks_double_to_full_size():
+    """A stream computes only a few values more than a short run reads."""
+    stream = XorShiftStream(seed=21)
+    assert stream._block == []  # nothing computed before the first draw
+    stream.uniform()
+    assert 2 <= len(stream._block) <= 8
+    sizes = [len(stream._block)]
+    for _ in range(1500):
+        stream.next_u64()
+        if len(stream._block) != sizes[-1] or stream._pos == 1:
+            sizes.append(len(stream._block))
+    assert sizes[-1] == DRAW_BLOCK_SIZE
+    for smaller, larger in zip(sizes, sizes[1:]):
+        assert larger == min(2 * smaller, DRAW_BLOCK_SIZE)
 
 
 def test_interleaved_tids_keep_per_thread_serial_order():

@@ -1,9 +1,11 @@
 """The GWP-ASan runtime: sampling gate, slot pool, crash attribution."""
 
+import tracemalloc
+
 import pytest
 
 from repro.callstack.frames import CallSite
-from repro.detectors import GwpAsanConfig, GwpAsanRuntime
+from repro.detectors import GwpAsanConfig, GwpAsanRuntime, GwpAsanSlotPool
 from repro.errors import ReproError, SegmentationFault
 from repro.machine.address_space import PAGE_SIZE
 from repro.workloads.base import SimProcess
@@ -160,3 +162,29 @@ def test_shutdown_stops_interposing():
     address = alloc(process, 64)
     assert runtime.pool.slot_at(address) is None  # raw heap again
     assert runtime.sampled_count == 1
+
+
+class _UnbackedMemory:
+    """Maps and unmaps nothing, so a measurement sees the pool alone."""
+
+    def map_region(self, base, size, name=""):
+        pass
+
+    def unmap_region(self, base):
+        pass
+
+
+def test_slot_pool_builds_only_the_slots_it_uses():
+    # The oracle's pool (4,096 slots, nothing recycled) serving a few
+    # dozen sampled allocations, as one generated program does.
+    tracemalloc.start()
+    try:
+        pool = GwpAsanSlotPool(_UnbackedMemory(), slots=4096)
+        for _ in range(40):
+            pool.retire(pool.acquire(), 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert pool.quarantined_indexes() == tuple(range(40))
+    assert len(pool.free_indexes()) == 4096 - 40

@@ -227,23 +227,23 @@ def test_error_paths_charge_identically():
     assert _drive_errors(HOTPATH_BATCHED) == _drive_errors(HOTPATH_LEGACY)
 
 
-def _drive_rng_trace(hotpath: str):
+def _drive_rng_trace(hotpath: str, allocations: int = 1200, n_threads: int = 3):
     """Per-thread draw conservation across an interleaved trace.
 
     After an identical multithreaded allocation trace, each thread's
     stream must sit at the same point in its draw sequence under both
-    hot paths — the batched driver's block-replenished, primed buffers
-    may not consume one draw more or fewer than the serial units.  The
-    stream tails make any skew visible.
+    hot paths — the batched driver's inline draws from block-replenished
+    buffers may not consume one draw more or fewer than the serial
+    units.  The stream tails make any skew visible.
     """
     process, runtime, site = _fresh(hotpath, seed=31)
     heap = process.heap
     threads = [process.main_thread] + [
-        process.spawn_thread(f"r{i}") for i in (1, 2)
+        process.spawn_thread(f"r{i}") for i in range(1, n_threads)
     ]
     live = []
-    for i in range(1200):
-        t = threads[(i * 7) % 3]
+    for i in range(allocations):
+        t = threads[(i * 7) % n_threads]
         with t.call_stack.calling(site):
             address = heap.malloc(t, 16 + (i % 9) * 8)
         if i % 2:
@@ -260,6 +260,20 @@ def _drive_rng_trace(hotpath: str):
 
 def test_rng_streams_aligned_after_multithreaded_trace():
     assert _drive_rng_trace(HOTPATH_BATCHED) == _drive_rng_trace(HOTPATH_LEGACY)
+
+
+@pytest.mark.parametrize("allocations", [1, 6, 7, 8, 9, 22, 23, 24, 25])
+def test_rng_streams_aligned_after_short_trace(allocations):
+    """Short traces end around the first two block boundaries.
+
+    The canary value takes the main thread's first draw, and with one
+    thread and one site each allocation draws once more, so the traces
+    stop just before, on and just after the ends of the first block
+    (8 values, 7 allocations) and the second (8 + 16, 23 allocations).
+    """
+    assert _drive_rng_trace(
+        HOTPATH_BATCHED, allocations, n_threads=1
+    ) == _drive_rng_trace(HOTPATH_LEGACY, allocations, n_threads=1)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import asyncio
 import json
+from unittest import mock
 
 import pytest
 
-from repro.fleet.runner import run_fleet
+from repro.fleet.runner import FleetCampaign, run_fleet
 from repro.service.queue import (
     STATE_CANCELLED,
     STATE_COMPLETED,
@@ -114,7 +115,13 @@ def test_slots_cancelled_waiter_is_forgotten():
 # Scheduler harness
 # ----------------------------------------------------------------------
 def drive(submissions, total_workers=2, cancel_after_waves=None):
-    """Run submissions through an in-process scheduler; returns jobs."""
+    """Run submissions through an in-process scheduler; returns jobs.
+
+    With ``cancel_after_waves``, each job is cancelled through the queue
+    (as a client would) once that many of its waves are done.  The
+    request comes from a wrapper around ``FleetCampaign.run_next_wave``,
+    not from a poll, so a fast campaign cannot finish before it.
+    """
 
     async def scenario():
         loop = asyncio.get_running_loop()
@@ -123,22 +130,28 @@ def drive(submissions, total_workers=2, cancel_after_waves=None):
         queue.attach_loop(loop)
         bus.attach_loop(loop)
         scheduler = CampaignScheduler(queue, bus, total_workers=total_workers)
-        jobs = [queue.submit(submission) for submission in submissions]
-        runner = asyncio.create_task(scheduler.run())
-        try:
-            while not all(job.finished for job in jobs):
-                if cancel_after_waves is not None:
-                    for job in jobs:
-                        if (
-                            not job.finished
-                            and not job.cancel_requested
-                            and job.waves_done >= cancel_after_waves
-                        ):
-                            queue.cancel(job.job_id)
-                await asyncio.sleep(0.02)
-        finally:
-            await scheduler.stop()
-            runner.cancel()
+        run_next_wave = FleetCampaign.run_next_wave
+
+        def run_wave_then_cancel(campaign):
+            progress = run_next_wave(campaign)
+            if (
+                progress is not None
+                and progress.wave_index + 1 == cancel_after_waves
+            ):
+                queue.cancel(campaign.campaign_id)
+            return progress
+
+        with mock.patch.object(
+            FleetCampaign, "run_next_wave", run_wave_then_cancel
+        ):
+            jobs = [queue.submit(submission) for submission in submissions]
+            runner = asyncio.create_task(scheduler.run())
+            try:
+                while not all(job.finished for job in jobs):
+                    await asyncio.sleep(0.02)
+            finally:
+                await scheduler.stop()
+                runner.cancel()
         return jobs, bus, scheduler
 
     return asyncio.run(scenario())

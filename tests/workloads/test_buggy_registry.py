@@ -1,11 +1,18 @@
 """The nine Table I application specs."""
 
+from collections import OrderedDict
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import WorkloadError
 from repro.experiments import paper_data
+from repro.fleet.pool import execute_spec
+from repro.fleet.specs import ExecutionSpec
 from repro.workloads.base import KIND_OVER_READ, KIND_OVER_WRITE
 from repro.workloads.buggy import BUGGY_APPS, EFFECTIVENESS_SCALE, app_for, spec_for
+from repro.workloads.buggy import registry
+from repro.workloads.buggy.registry import APP_CACHE_SIZE
 
 
 def test_all_nine_present():
@@ -57,6 +64,34 @@ def test_spec_for_unknown_rejected():
 
 def test_app_for_caches():
     assert app_for("gzip") is app_for("gzip")
+
+
+def _genome(i):
+    return f"oracle:s5:i{i}:over-write"
+
+
+def test_app_cache_is_a_bounded_lru(monkeypatch):
+    monkeypatch.setattr(registry, "_app_cache", OrderedDict())
+    kept = app_for(_genome(0))
+    for i in range(1, 3 * APP_CACHE_SIZE):
+        app_for(_genome(i))
+        assert len(registry._app_cache) <= APP_CACHE_SIZE
+        # Used after every build, so it is never the least recent: a
+        # FIFO would evict it after APP_CACHE_SIZE builds.
+        assert app_for(_genome(0)) is kept
+    assert len(registry._app_cache) == APP_CACHE_SIZE
+    assert (_genome(1), 1.0) not in registry._app_cache
+
+
+def test_evicted_app_rebuilds_to_an_identical_execution(monkeypatch):
+    monkeypatch.setattr(registry, "_app_cache", OrderedDict())
+    spec = ExecutionSpec(app=_genome(0), seed=3, index=0)
+    before = execute_spec(spec)
+    for i in range(1, APP_CACHE_SIZE + 1):
+        app_for(_genome(i))
+    assert (_genome(0), 1.0) not in registry._app_cache
+    after = execute_spec(spec)
+    assert replace(after, wall_seconds=0.0) == replace(before, wall_seconds=0.0)
 
 
 def test_app_for_scale_overrides():
