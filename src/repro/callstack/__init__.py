@@ -20,7 +20,7 @@ from repro.callstack.contexts import (
     ContextKey,
     ContextInterner,
 )
-from repro.callstack.frames import CallSite, CallStack, Frame
+from repro.callstack.frames import CallSite, CallStack, Frame, FrameChain
 from repro.callstack.symbols import SymbolTable
 
 __all__ = [
@@ -31,5 +31,6 @@ __all__ = [
     "CallSite",
     "CallStack",
     "Frame",
+    "FrameChain",
     "SymbolTable",
 ]

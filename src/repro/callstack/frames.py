@@ -7,13 +7,18 @@ dynamic :class:`Frame`.  The stack tracks the running *stack offset* —
 the sum of active frame sizes — because CSOD keys contexts on
 (first-level return address, stack offset), and two different paths into
 the same allocation wrapper usually differ in that offset.
+
+A :class:`FrameChain` is a whole call chain built once — its frames and
+their summed size — so a replay loop can push it with
+:meth:`CallStack.call_under` in one list extend and one offset add
+instead of one guard and one new frame per site.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import ReproError
 
@@ -22,6 +27,8 @@ _TEXT_BASE = 0x40_0000
 _SITE_STRIDE = 0x20
 
 _site_counter = itertools.count()
+
+T = TypeVar("T")
 
 
 def _next_return_address() -> int:
@@ -67,6 +74,25 @@ class Frame:
         return self.site.location()
 
 
+@dataclass(frozen=True, slots=True)
+class FrameChain:
+    """A call chain's frames (outermost first) and their summed size.
+
+    :class:`Frame` is frozen and compared by value, so every push of a
+    chain can share the same frame objects.
+    """
+
+    frames: Tuple[Frame, ...]
+    frame_bytes: int
+
+    @classmethod
+    def of(cls, sites: Sequence[CallSite]) -> "FrameChain":
+        return cls(
+            tuple(Frame(site) for site in sites),
+            sum(site.frame_size for site in sites),
+        )
+
+
 class CallStack:
     """A thread's stack of active frames, innermost last."""
 
@@ -95,6 +121,25 @@ class CallStack:
     def calling(self, site: CallSite) -> "_FrameGuard":
         """Context manager that pushes ``site`` for the ``with`` body."""
         return _FrameGuard(self, site)
+
+    def call_under(self, chain: FrameChain, fn: Callable[..., T], *args) -> T:
+        """``fn(*args)`` with ``chain`` pushed on top of the stack.
+
+        The same stack as one nested :meth:`calling` guard per site, but
+        pushed whole.  Afterwards the stack is truncated back to the
+        depth and offset it had before the push, also when ``fn``
+        raises (an empty chain leaves it unchanged).
+        """
+        frames = self._frames
+        depth = len(frames)
+        offset = self._offset
+        frames.extend(chain.frames)
+        self._offset = offset + chain.frame_bytes
+        try:
+            return fn(*args)
+        finally:
+            del frames[depth:]
+            self._offset = offset
 
     # ------------------------------------------------------------------
     # Inspection

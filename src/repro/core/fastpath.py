@@ -23,7 +23,15 @@ work per interposed call collapses:
 * header/canary words are written and read straight into the address
   space's page ``bytearray``\\ s when the block sits in the hot region;
 * the first-fit allocator's hot bodies are inlined when the baseline
-  heap is the stock :class:`~repro.heap.allocator.FreeListAllocator`;
+  heap is the stock :class:`~repro.heap.allocator.FreeListAllocator`:
+  a ``bisect`` over its prefix-maximum index finds the extent and the
+  index is patched in place (a helper call per operation would cost
+  more than the list work it wraps);
+* a known-context map answers a one-entry cache miss on a key already
+  seen in this run, booking exactly what the uncached lookup of an
+  existing key books (interner hit, collision check, bucket lock and
+  the key's chain position as walk steps) without building a
+  :class:`~repro.callstack.contexts.ContextKey` or walking the chain;
 * watched-object / perf-event / watchpoint shells are pooled: a clean
   free returns the three fully detached objects to per-driver free
   lists and the next installation re-initializes every field, so the
@@ -48,6 +56,7 @@ probes), use the legacy driver.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from struct import error as _struct_error
 
 from repro.callstack.backtrace import PEEK_COST_NS
@@ -292,6 +301,13 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
         new_record = sampling._new_record
         thread_cache = self._thread_cache
         tc_get = thread_cache.get
+        # Known-context map: (first_ra, offset) -> (the key's one-entry
+        # cache tuple, its 1-based position in its bucket chain).  A
+        # record is created once and never replaced, and chains only
+        # append, so both stay valid for the run; a hit books exactly
+        # what the slow path books for an existing key.
+        known: dict = {}
+        known_get = known.get
 
         ledger = self._ledger
         ledger_record = ledger.record
@@ -344,6 +360,7 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
         inline_alloc = type(allocator) is FreeListAllocator
         if inline_alloc:
             a_free_list = allocator._free
+            a_reach = allocator._reach
             a_live = allocator._live
             a_live_pop = a_live.pop
             a_freed_once = allocator._freed_once
@@ -351,7 +368,7 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
             a_freed_discard = a_freed_once.discard
             a_stats = allocator.stats
         else:
-            a_free_list = a_live = a_live_pop = None
+            a_free_list = a_reach = a_live = a_live_pop = None
             a_freed_once = a_freed_add = a_freed_discard = a_stats = None
 
         wmu = self._wmu
@@ -434,24 +451,43 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
                 table.lock_acquisitions += 1
                 table.chain_walk_steps += 1
             else:
-                key = ContextKey(first_level_ra=first_ra, stack_offset=offset)
-                context = intern_keyed(key, stack)
-                record = get_uncharged(key)
-                if record is None:
-                    record = new_record(key, context)
-                    table_put(key, record)
-                thread_cache[tid] = (
-                    first_ra,
-                    offset,
-                    record,
-                    len(record.context.return_addresses),
-                )
-                # Interning a new context charges the clock internally
-                # (backtrace walk, context creation), so the carried
-                # value is stale on this cold path — re-read it before
-                # the throttle rule observes it.
-                if lclk is not None:
-                    cnow = lclk._now_ns
+                known_entry = known_get((first_ra, offset))
+                if known_entry is not None:
+                    # A key seen before in this run: interner.note_hit
+                    # and get_uncharged's lock + chain walk, inline.
+                    cached, steps = known_entry
+                    record = cached[2]
+                    interner.hits += 1
+                    if cached[3] != len(frames):
+                        interner.collisions_possible += 1
+                    table.lock_acquisitions += 1
+                    table.chain_walk_steps += steps
+                else:
+                    key = ContextKey(first_level_ra=first_ra, stack_offset=offset)
+                    context = intern_keyed(key, stack)
+                    # The lookup walks the chain up to the key, or the
+                    # whole chain before the put appends it.
+                    steps = table.chain_walk_steps
+                    record = get_uncharged(key)
+                    steps = table.chain_walk_steps - steps
+                    if record is None:
+                        record = new_record(key, context)
+                        table_put(key, record)
+                        steps += 1
+                    cached = (
+                        first_ra,
+                        offset,
+                        record,
+                        len(record.context.return_addresses),
+                    )
+                    known[first_ra, offset] = (cached, steps)
+                    # Interning a new context charges the clock
+                    # internally (backtrace walk, context creation), so
+                    # the carried value is stale on this cold path —
+                    # re-read it before the throttle rule observes it.
+                    if lclk is not None:
+                        cnow = lclk._now_ns
+                thread_cache[tid] = cached
             sampling.total_allocations_seen += 1
             record.allocation_count += 1
             pinned = record.overflow_observed
@@ -499,43 +535,48 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
             # the sampling draw's throttle check.
             wrap = wrap_extra + size
             if inline_alloc and wrap > 0:
-                # FreeListAllocator.malloc, inlined (first-fit with
-                # split; identical list and stats surgery).
+                # FreeListAllocator.malloc, inlined (indexed first fit
+                # with split; identical list, index and stats surgery).
                 block_size = (wrap + 15) & -16
-                real = -1
-                i = 0
-                n_extents = len(a_free_list)
-                while i < n_extents:
-                    se = a_free_list[i]
-                    extent = se[1]
-                    if extent >= block_size:
-                        start = se[0]
-                        remainder = extent - block_size
-                        if remainder:
-                            a_free_list[i] = (start + block_size, remainder)
-                        else:
-                            del a_free_list[i]
-                        a_live[start] = block_size
-                        a_freed_discard(start)
-                        a_stats.total_allocations += 1
-                        live_bytes = a_stats.live_bytes + block_size
-                        a_stats.live_bytes = live_bytes
-                        live_blocks = a_stats.live_blocks + 1
-                        a_stats.live_blocks = live_blocks
-                        if live_bytes > a_stats.peak_live_bytes:
-                            a_stats.peak_live_bytes = live_bytes
-                        if live_blocks > a_stats.peak_live_blocks:
-                            a_stats.peak_live_blocks = live_blocks
-                        real = start
-                        break
-                    i += 1
-                if real < 0:
+                i = bisect_left(a_reach, block_size)
+                n_extents = len(a_reach)
+                if i == n_extents:
                     # Legacy charges peek+lookup+malloc (no canary set)
                     # before the allocator raises; stay charge-exact.
                     pending[_OOM_MALLOC] = pget(_OOM_MALLOC, 0) + 1
                     if lclk is not None:
                         lclk._now_ns = cnow + MALLOC_COST_NS
                     raise OutOfMemoryError(wrap)
+                real, extent = a_free_list[i]
+                high = a_reach[i - 1] if i else 0
+                remainder = extent - block_size
+                if remainder:
+                    a_free_list[i] = (real + block_size, remainder)
+                    if remainder > high:
+                        high = remainder
+                    a_reach[i] = high
+                    i += 1
+                else:
+                    del a_free_list[i]
+                    del a_reach[i]
+                    n_extents -= 1
+                while i < n_extents and a_reach[i] == extent:
+                    other = a_free_list[i][1]
+                    if other > high:
+                        high = other
+                    a_reach[i] = high
+                    i += 1
+                a_live[real] = block_size
+                a_freed_discard(real)
+                a_stats.total_allocations += 1
+                live_bytes = a_stats.live_bytes + block_size
+                a_stats.live_bytes = live_bytes
+                live_blocks = a_stats.live_blocks + 1
+                a_stats.live_blocks = live_blocks
+                if live_bytes > a_stats.peak_live_bytes:
+                    a_stats.peak_live_bytes = live_bytes
+                if live_blocks > a_stats.peak_live_blocks:
+                    a_stats.peak_live_blocks = live_blocks
             else:
                 try:
                     real = alloc_malloc(wrap)
@@ -935,9 +976,9 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
                 slot_record[slot] = None
                 free_slots.append(slot)
                 if inline_alloc:
-                    # FreeListAllocator.free, inlined (binary-search
-                    # insert + two-neighbour coalesce; identical list
-                    # and stats surgery).
+                    # FreeListAllocator.free, inlined (bisect + coalesce
+                    # + index raise; identical list, index and stats
+                    # surgery).
                     block_size = a_live_pop(real, None)
                     if block_size is None:
                         if real in a_freed_once:
@@ -947,29 +988,36 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
                     a_stats.total_frees += 1
                     a_stats.live_bytes -= block_size
                     a_stats.live_blocks -= 1
-                    lo = 0
-                    hi = len(a_free_list)
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if a_free_list[mid][0] < real:
-                            lo = mid + 1
-                        else:
-                            hi = mid
+                    i = bisect_left(a_free_list, (real,))
                     end = real + block_size
-                    if lo < len(a_free_list) and end == a_free_list[lo][0]:
-                        successor = a_free_list[lo]
-                        a_free_list[lo] = (real, block_size + successor[1])
+                    n_extents = len(a_free_list)
+                    predecessor = a_free_list[i - 1] if i else None
+                    if (
+                        predecessor is not None
+                        and predecessor[0] + predecessor[1] == real
+                    ):
+                        grown = predecessor[1] + block_size
+                        if i < n_extents and a_free_list[i][0] == end:
+                            grown += a_free_list[i][1]
+                            del a_free_list[i]
+                            del a_reach[i]
+                            n_extents -= 1
+                        i -= 1
+                        a_free_list[i] = (predecessor[0], grown)
+                    elif i < n_extents and a_free_list[i][0] == end:
+                        grown = block_size + a_free_list[i][1]
+                        a_free_list[i] = (real, grown)
                     else:
-                        a_free_list.insert(lo, (real, block_size))
-                    if lo:
-                        predecessor = a_free_list[lo - 1]
-                        if predecessor[0] + predecessor[1] == real:
-                            merged = a_free_list[lo]
-                            a_free_list[lo - 1] = (
-                                predecessor[0],
-                                predecessor[1] + merged[1],
-                            )
-                            del a_free_list[lo]
+                        grown = block_size
+                        a_free_list.insert(i, (real, block_size))
+                        a_reach.insert(i, block_size)
+                        n_extents += 1
+                    high = a_reach[i - 1] if i else 0
+                    a_reach[i] = grown if grown > high else high
+                    i += 1
+                    while i < n_extents and a_reach[i] < grown:
+                        a_reach[i] = grown
+                        i += 1
                 else:
                     alloc_free(real)
                 return

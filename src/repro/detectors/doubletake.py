@@ -42,6 +42,7 @@ ARM_DOUBLETAKE = "doubletake"
 # byte smeared over quarantined bodies.
 CANARY_WORD = 0xD0B1E7A4_D0B1E7A4
 FILL_BYTE = 0xDB
+_FILL = bytes([FILL_BYTE])
 WORD_BYTES = 8
 # Leading pad: 16 bytes keep the object 16-aligned; the canary word
 # occupies the 8 bytes immediately before the object.
@@ -187,7 +188,7 @@ class DoubleTakeRuntime:
         block.deallocation_context = self._frames_of(thread)
         # Delayed free: smear the body so any later write shows.
         self.machine.memory.write_bytes(
-            address, bytes([FILL_BYTE]) * block.size
+            address, _FILL * block.size
         )
         self.machine.ledger.record(
             EVENT_DT_QUARANTINE, nanos_each=QUARANTINE_COST_NS
@@ -231,12 +232,13 @@ class DoubleTakeRuntime:
         if memory.read_word(lead) != CANARY_WORD:
             self._record("buffer-underflow-write", lead, block)
         if quarantined:
+            # The first byte that lost the fill: one C-level strip, as
+            # the quarantine is re-swept every epoch.
             body = memory.read_bytes(block.address, block.size)
-            for offset, value in enumerate(body):
-                if value != FILL_BYTE:
-                    fault = block.address + (offset & ~(WORD_BYTES - 1))
-                    self._record("use-after-free-write", fault, block)
-                    break
+            offset = len(body) - len(body.lstrip(_FILL))
+            if offset < len(body):
+                fault = block.address + (offset & ~(WORD_BYTES - 1))
+                self._record("use-after-free-write", fault, block)
 
     def _record(self, kind: str, fault: int, block: _Block) -> None:
         if fault in self.evidence:

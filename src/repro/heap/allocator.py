@@ -6,6 +6,8 @@ wrap.  It provides:
 
 * 16-byte-aligned first-fit allocation with block splitting,
 * address-ordered free list with coalescing of adjacent free blocks,
+  indexed by its running maximum extent size, so first fit is one
+  ``bisect`` instead of a walk past every hole too small to serve,
 * ``memalign`` via internal alignment padding,
 * double-free / invalid-free diagnosis, and
 * footprint statistics (live bytes, peak live bytes, peak block count)
@@ -15,12 +17,22 @@ Objects are packed contiguously, so the word past one object is
 frequently the header or body of the next — exactly the adjacency that
 makes heap overflows silently destructive and boundary watchpoints
 informative.
+
+The index, ``_reach``, runs parallel to the free list: ``_reach[j]`` is
+the largest extent among ``_free[:j + 1]``.  It never decreases, so the
+first index whose reach covers a request is the lowest-addressed extent
+that fits — the extent a linear first-fit walk would take.  ``malloc``
+recomputes only the entries after the taken extent that its old size
+carried; ``free`` raises only the entries below the grown extent's size;
+``memalign`` (a cold path) rebuilds the index in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Dict, List, Tuple
 
 from repro.errors import DoubleFreeError, InvalidFreeError, OutOfMemoryError
 from repro.heap.size_classes import MIN_ALIGNMENT, align_up, round_up_size
@@ -62,8 +74,10 @@ class FreeListAllocator:
             )
         self.arena_start = arena_start
         self.arena_size = arena_size
-        # Address-ordered list of (start, size) free extents.
+        # Address-ordered list of (start, size) free extents, and its
+        # prefix-maximum index (see the module docstring).
         self._free: List[Tuple[int, int]] = [(arena_start, arena_size)]
+        self._reach: List[int] = [arena_size]
         # address -> block size for live blocks.
         self._live: Dict[int, int] = {}
         self._freed_once: set = set()
@@ -83,27 +97,45 @@ class FreeListAllocator:
         # handles zero (-> minimum block) and rejects negatives.
         block_size = (size + 15) & -16 if size > 0 else round_up_size(size)
         free = self._free
-        for index, (start, extent) in enumerate(free):
-            if extent >= block_size:
-                remainder = extent - block_size
-                if remainder:
-                    free[index] = (start + block_size, remainder)
-                else:
-                    del free[index]
-                self._live[start] = block_size
-                self._freed_once.discard(start)
-                stats = self.stats
-                stats.total_allocations += 1
-                live_bytes = stats.live_bytes + block_size
-                stats.live_bytes = live_bytes
-                live_blocks = stats.live_blocks + 1
-                stats.live_blocks = live_blocks
-                if live_bytes > stats.peak_live_bytes:
-                    stats.peak_live_bytes = live_bytes
-                if live_blocks > stats.peak_live_blocks:
-                    stats.peak_live_blocks = live_blocks
-                return start
-        raise OutOfMemoryError(size)
+        reach = self._reach
+        index = bisect_left(reach, block_size)
+        if index == len(reach):
+            raise OutOfMemoryError(size)
+        start, extent = free[index]
+        # Every entry from ``index`` on that equals ``extent`` was
+        # carried by the taken extent; recompute those, stop at the
+        # first one a later, larger extent carries.
+        high = reach[index - 1] if index else 0
+        remainder = extent - block_size
+        if remainder:
+            free[index] = (start + block_size, remainder)
+            if remainder > high:
+                high = remainder
+            reach[index] = high
+            index += 1
+        else:
+            del free[index]
+            del reach[index]
+        n_extents = len(reach)
+        while index < n_extents and reach[index] == extent:
+            other = free[index][1]
+            if other > high:
+                high = other
+            reach[index] = high
+            index += 1
+        self._live[start] = block_size
+        self._freed_once.discard(start)
+        stats = self.stats
+        stats.total_allocations += 1
+        live_bytes = stats.live_bytes + block_size
+        stats.live_bytes = live_bytes
+        live_blocks = stats.live_blocks + 1
+        stats.live_blocks = live_blocks
+        if live_bytes > stats.peak_live_bytes:
+            stats.peak_live_bytes = live_bytes
+        if live_blocks > stats.peak_live_blocks:
+            stats.peak_live_blocks = live_blocks
+        return start
 
     def memalign(self, alignment: int, size: int) -> int:
         """Allocate ``size`` bytes at an ``alignment``-aligned address."""
@@ -120,6 +152,8 @@ class FreeListAllocator:
                 remainder = extent - padding - block_size
                 if remainder:
                     self._free.insert(index, (aligned + block_size, remainder))
+                # In place: FastAllocDealloc's closures hold this list.
+                self._reach[:] = accumulate((s for _, s in self._free), max)
                 self._record_alloc(aligned, block_size)
                 return aligned
         raise OutOfMemoryError(size)
@@ -136,7 +170,7 @@ class FreeListAllocator:
         """Release a block; returns its size.  Diagnoses bad frees.
 
         Like :meth:`malloc`, the body inlines the free-list insertion and
-        both-neighbour coalescing (binary search + at most two merges).
+        both-neighbour coalescing (one bisect + at most two merges).
         """
         size = self._live.pop(address, None)
         if size is None:
@@ -149,26 +183,37 @@ class FreeListAllocator:
         stats.live_bytes -= size
         stats.live_blocks -= 1
         free = self._free
-        lo, hi = 0, len(free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if free[mid][0] < address:
-                lo = mid + 1
-            else:
-                hi = mid
-        # Merge with the successor first, then the predecessor.
+        reach = self._reach
+        index = bisect_left(free, (address,))
         end = address + size
-        if lo < len(free) and end == free[lo][0]:
-            nstart, nsize = free[lo]
-            free[lo] = (address, size + nsize)
+        # Coalesce into the predecessor (and through it the successor),
+        # else into the successor, else insert; the extent at ``index``
+        # ends up holding the freed bytes.
+        predecessor = free[index - 1] if index else None
+        if predecessor is not None and predecessor[0] + predecessor[1] == address:
+            grown = predecessor[1] + size
+            if index < len(free) and free[index][0] == end:
+                grown += free[index][1]
+                del free[index]
+                del reach[index]
+            index -= 1
+            free[index] = (predecessor[0], grown)
+        elif index < len(free) and free[index][0] == end:
+            grown = size + free[index][1]
+            free[index] = (address, grown)
         else:
-            free.insert(lo, (address, size))
-        if lo > 0:
-            pstart, psize = free[lo - 1]
-            if pstart + psize == address:
-                start, merged = free[lo]
-                free[lo - 1] = (pstart, psize + merged)
-                del free[lo]
+            grown = size
+            free.insert(index, (address, size))
+            reach.insert(index, size)
+        # The grown extent raises its own entry and every later entry
+        # below its size; the first entry at or above it ends the run.
+        high = reach[index - 1] if index else 0
+        reach[index] = grown if grown > high else high
+        index += 1
+        n_extents = len(reach)
+        while index < n_extents and reach[index] < grown:
+            reach[index] = grown
+            index += 1
         return size
 
     # ------------------------------------------------------------------
@@ -197,8 +242,12 @@ class FreeListAllocator:
         * free extents are address-ordered, non-overlapping, and never
           adjacent (adjacent extents must have been coalesced);
         * live blocks never overlap each other or any free extent;
-        * live + free bytes never exceed the arena.
+        * live + free bytes never exceed the arena;
+        * ``_reach`` is the running maximum of the extent sizes.
         """
+        assert self._reach == list(
+            accumulate((size for _, size in self._free), max)
+        ), "first-fit index out of step with the free list"
         prev_end = None
         for start, size in self._free:
             assert size > 0, "empty free extent"

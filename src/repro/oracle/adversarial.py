@@ -215,12 +215,15 @@ class AdversarialApp(SyntheticBuggyApp):
         self.events = []
         self.victim_index = -1
         self._sites_cache = None
+        self._chains_cache = None
         self._victim_override = None
 
     def run(self, process: SimProcess) -> RunResult:
         sites = self.sites()
         process.register_sites(self.all_sites())
         thread = process.main_thread
+        call_under = thread.call_stack.call_under
+        chains = self.chains()
         heap = process.heap
         cpu = process.machine.cpu
         clock = process.machine.clock
@@ -237,15 +240,7 @@ class AdversarialApp(SyntheticBuggyApp):
                 continue
             _, context_id, size, is_victim, free_now = op
             quantum.advance()
-            chain = sites[context_id]
-            guards = [thread.call_stack.calling(site) for site in chain]
-            for guard in guards:
-                guard.__enter__()
-            try:
-                address = heap.malloc(thread, size)
-            finally:
-                for guard in reversed(guards):
-                    guard.__exit__(None, None, None)
+            address = call_under(chains[context_id], heap.malloc, thread, size)
             allocations += 1
             if is_victim:
                 victim_address, victim_size = address, size

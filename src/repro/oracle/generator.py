@@ -91,17 +91,13 @@ class OracleApp(SyntheticBuggyApp):
             # baseline arm's out-of-place realloc allocates the moved
             # object *here*, so its allocation context still carries
             # the victim marker the judge attributes by.
-            chain = self.sites()[0]
-            guards = [thread.call_stack.calling(site) for site in chain]
-            for guard in guards:
-                guard.__enter__()
-            try:
-                new_address = heap.realloc(
-                    thread, addresses[victim], spec.realloc_shrink_to
-                )
-            finally:
-                for guard in reversed(guards):
-                    guard.__exit__(None, None, None)
+            new_address = thread.call_stack.call_under(
+                self.chains()[0],
+                heap.realloc,
+                thread,
+                addresses[victim],
+                spec.realloc_shrink_to,
+            )
             addresses[victim] = new_address
             self._victim_override = (new_address, spec.realloc_shrink_to)
             return
@@ -109,15 +105,9 @@ class OracleApp(SyntheticBuggyApp):
             # The dereferencing thread (``thread`` here: the worker)
             # touches the allocator first, so its own RNG stream and
             # one-entry key cache are live for the victim's context...
-            chain = self.sites()[0]
-            guards = [thread.call_stack.calling(site) for site in chain]
-            for guard in guards:
-                guard.__enter__()
-            try:
-                scratch = heap.malloc(thread, 32)
-            finally:
-                for guard in reversed(guards):
-                    guard.__exit__(None, None, None)
+            scratch = thread.call_stack.call_under(
+                self.chains()[0], heap.malloc, thread, 32
+            )
             heap.free(thread, scratch)
             # ...while the *allocating* (main) thread frees the victim.
             heap.free(process.main_thread, addresses[victim])

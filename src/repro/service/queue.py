@@ -14,7 +14,9 @@ so clients can be replayed, logs diffed, and results content-addressed.
 The :class:`JobQueue` itself is a priority queue (higher ``priority``
 first, admission order as the tiebreak) safe to drive from the service
 event loop and from foreign threads alike; an :class:`asyncio.Event`
-wakes the scheduler on submission from either side.
+wakes the scheduler on submission from either side.  It keeps at most
+:data:`MAX_FINISHED_JOBS` terminal jobs, so a long-lived server's memory
+does not grow with the number of jobs it has served.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import hashlib
 import json
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import POLICIES, POLICY_NEAR_FIFO
 from repro.errors import ServiceError, WorkloadError
@@ -37,6 +40,11 @@ STATE_FAILED = "failed"
 STATE_CANCELLED = "cancelled"
 
 FINAL_STATES = (STATE_COMPLETED, STATE_FAILED, STATE_CANCELLED)
+
+# Terminal jobs kept for result pickup and late subscribers.  Past this
+# many, the oldest terminal job is forgotten: its id answers 404 and its
+# event channel goes with it.  Queued and running jobs are always kept.
+MAX_FINISHED_JOBS = 64
 
 # Non-shared campaigns have no cross-execution state, so their wave
 # boundaries are a pure scheduling choice; slicing into at most this
@@ -290,15 +298,20 @@ class JobQueue:
     """Priority-ordered admission of campaign jobs.
 
     ``submit``/``cancel``/``get`` are thread-safe; ``claim_next`` is
-    meant for the single scheduler task.  Jobs are never forgotten —
-    finished records stay retrievable for result pickup.
+    meant for the single scheduler task.  Finished records stay
+    retrievable for result pickup until :data:`MAX_FINISHED_JOBS` newer
+    jobs have finished; ``on_evict`` is then called with the forgotten
+    job's id (the service drops its event channel there).
     """
 
-    def __init__(self):
+    def __init__(self, on_evict: Optional[Callable[[str], None]] = None):
         self._lock = threading.Lock()
         self._seq = 0
         self._jobs: Dict[str, JobRecord] = {}
         self._pending: List[JobRecord] = []
+        # Terminal job ids, oldest first.
+        self._finished: Deque[str] = deque()
+        self._on_evict = on_evict
         # Wired to the service loop on start; submissions from foreign
         # threads wake the scheduler through it.
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -338,6 +351,7 @@ class JobQueue:
         their live campaign's stop flag set and transition when the
         in-flight wave unwinds (releasing the worker slots it held).
         """
+        evicted: List[str] = []
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.finished:
@@ -346,11 +360,38 @@ class JobQueue:
             if job.state == STATE_QUEUED:
                 self._pending = [j for j in self._pending if j.job_id != job_id]
                 job.state = STATE_CANCELLED
+                evicted = self._retire_locked(job)
             campaign = job.campaign
+        self._evict(evicted)
         if campaign is not None:
             campaign.cancel()
         self._signal()
         return job
+
+    def retire(self, job: JobRecord) -> None:
+        """Count a job that reached a final state toward the bound.
+
+        Called once per job, after its final event is published; evicts
+        the oldest terminal jobs beyond :data:`MAX_FINISHED_JOBS`.
+        """
+        with self._lock:
+            evicted = self._retire_locked(job)
+        self._evict(evicted)
+
+    def _retire_locked(self, job: JobRecord) -> List[str]:
+        finished = self._finished
+        finished.append(job.job_id)
+        evicted = []
+        while len(finished) > MAX_FINISHED_JOBS:
+            job_id = finished.popleft()
+            del self._jobs[job_id]
+            evicted.append(job_id)
+        return evicted
+
+    def _evict(self, job_ids: List[str]) -> None:
+        if self._on_evict is not None:
+            for job_id in job_ids:
+                self._on_evict(job_id)
 
     # ------------------------------------------------------------------
     # Scheduler side
@@ -384,7 +425,7 @@ class JobQueue:
             return self._jobs.get(job_id)
 
     def jobs(self) -> List[JobRecord]:
-        """Every known job, admission order."""
+        """Every retained job, admission order."""
         with self._lock:
             return sorted(self._jobs.values(), key=lambda j: j.seq)
 

@@ -292,6 +292,7 @@ class CampaignScheduler:
         else:
             self.jobs_failed += 1
         self._publish_job(job, state, error=error)
+        self.queue.retire(job)
 
     def _publish_job(
         self, job: JobRecord, state: str, error: Optional[str] = None

@@ -10,7 +10,7 @@ Routes::
 
     GET  /healthz                     liveness + queue/slot counters
     POST /submit                      one submission or {"submissions": [...]}
-    GET  /jobs                        every job's status view
+    GET  /jobs                        every retained job's status view
     GET  /jobs/<id>                   one job's status view
     GET  /jobs/<id>/result            aggregate + scorecard (409 until final)
     POST /jobs/<id>/cancel            releases the job's worker slots
@@ -55,11 +55,12 @@ class ReproService:
     ):
         self.host = host
         self.port = port  # 0 = ephemeral; the bound port lands here
-        self.queue = JobQueue()
         self._sink = (
             JsonlEventLog(event_log_path) if event_log_path else None
         )
         self.bus = EventBus(history=history, sink=self._sink)
+        # An evicted job's channel history goes with it.
+        self.queue = JobQueue(on_evict=self.bus.drop)
         self.scheduler = CampaignScheduler(
             self.queue, self.bus, total_workers=total_workers, bug_db=bug_db
         )
@@ -320,6 +321,12 @@ class ReproService:
             return
         if verb == "cancel" and method == "POST":
             job = self.queue.cancel(job_id)
+            if job is None:
+                # Evicted since the lookup (another thread's retirement).
+                await self._respond(
+                    writer, 404, {"error": f"unknown job {job_id!r}"}
+                )
+                return
             if job.finished and job.state == "cancelled" and job.campaign is None:
                 # Was still queued: report the terminal state right away.
                 self.bus.publish(

@@ -177,6 +177,17 @@ class EventBus:
             subs = self._subscribers.get(sub.channel)
             if subs and sub in subs:
                 subs.remove(sub)
+                if not subs:
+                    del self._subscribers[sub.channel]
+
+    def drop(self, channel: str) -> None:
+        """Forget a channel's history and sequence (its job was evicted).
+
+        Live subscribers keep every event already delivered to them.
+        """
+        with self._lock:
+            self._events.pop(channel, None)
+            self._seqs.pop(channel, None)
 
     # ------------------------------------------------------------------
     async def poll(

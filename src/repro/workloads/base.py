@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.callstack.frames import CallSite
+from repro.callstack.frames import CallSite, FrameChain
 from repro.callstack.symbols import SymbolTable
 from repro.errors import WorkloadError
 from repro.heap.allocator import FreeListAllocator
@@ -320,6 +320,7 @@ class SyntheticBuggyApp:
         self.spec = spec
         self.events, self.victim_index = build_schedule(spec)
         self._sites_cache: Optional[Dict[int, List[CallSite]]] = None
+        self._chains_cache: Optional[Dict[int, FrameChain]] = None
         # A _pre_access hook that moves or resizes the victim (realloc)
         # publishes the new (address, size) here; the injected access
         # and the RunResult then target the post-hook victim.  Reset at
@@ -376,6 +377,15 @@ class SyntheticBuggyApp:
         if self._sites_cache is None:
             self._sites_cache = self._build_sites()
         return self._sites_cache
+
+    def chains(self) -> Dict[int, FrameChain]:
+        """:meth:`sites` as frame chains, built once per app."""
+        if self._chains_cache is None:
+            self._chains_cache = {
+                context_id: FrameChain.of(chain)
+                for context_id, chain in self.sites().items()
+            }
+        return self._chains_cache
 
     def all_sites(self) -> List[CallSite]:
         flattened = []
@@ -439,6 +449,8 @@ class SyntheticBuggyApp:
         process.register_sites(self.all_sites())
         thread = process.main_thread
         heap = process.heap
+        call_under = thread.call_stack.call_under
+        chains = self.chains()
         cpu = process.machine.cpu
         events = self._events_for_run(process.seed)
         self._victim_override = None
@@ -488,15 +500,9 @@ class SyntheticBuggyApp:
                     del live[index]
                     heap.free(thread, address)
             # The allocation itself, under its context's call chain.
-            chain = sites[event.context_id]
-            guards = [thread.call_stack.calling(site) for site in chain]
-            for guard in guards:
-                guard.__enter__()
-            try:
-                address = heap.malloc(thread, event.size)
-            finally:
-                for guard in reversed(guards):
-                    guard.__exit__(None, None, None)
+            address = call_under(
+                chains[event.context_id], heap.malloc, thread, event.size
+            )
             addresses[event.index] = address
             live[event.index] = event
             if self.spec.work_ns_per_alloc:

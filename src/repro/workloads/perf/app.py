@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.callstack.frames import CallSite
+from repro.callstack.frames import CallSite, FrameChain
 from repro.workloads.base import SimProcess
 from repro.workloads.perf.specs import PerfAppSpec
 
@@ -63,6 +63,7 @@ class PerfApp:
         self.scale = self.sim_allocations / spec.allocations
         self._trace = self._build_trace()
         self._sites: Optional[Dict[int, List[CallSite]]] = None
+        self._chains: Optional[Dict[int, FrameChain]] = None
 
     # ------------------------------------------------------------------
     # Trace construction
@@ -121,6 +122,14 @@ class PerfApp:
             self._sites = self._build_sites()
         return self._sites
 
+    def chains(self) -> Dict[int, FrameChain]:
+        """:meth:`sites` as frame chains, built once per app."""
+        if self._chains is None:
+            self._chains = {
+                c: FrameChain.of(chain) for c, chain in self.sites().items()
+            }
+        return self._chains
+
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
@@ -142,6 +151,7 @@ class PerfApp:
             process.spawn_thread(f"worker-{i}") for i in range(spec.threads - 1)
         ]
         heap = process.heap
+        chains = self.chains()
         clock = process.machine.clock
         work_ns = spec.work_ns_per_alloc
 
@@ -157,15 +167,9 @@ class PerfApp:
                 address = addresses.pop(j, None)
                 if address is not None:
                     heap.free(owners.pop(j), address)
-            chain = sites[event.context_id]
-            guards = [thread.call_stack.calling(site) for site in chain]
-            for guard in guards:
-                guard.__enter__()
-            try:
-                address = heap.malloc(thread, event.size)
-            finally:
-                for guard in reversed(guards):
-                    guard.__exit__(None, None, None)
+            address = thread.call_stack.call_under(
+                chains[event.context_id], heap.malloc, thread, event.size
+            )
             addresses[index] = address
             owners[index] = thread
             if event.free_after is not None:

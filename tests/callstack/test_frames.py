@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.callstack.frames import CallSite, CallStack
+from repro.callstack.frames import CallSite, CallStack, FrameChain
 from repro.errors import ReproError
 
 
@@ -110,3 +110,66 @@ def test_iteration_outermost_first():
     stack.push(a)
     stack.push(b)
     assert [f.site for f in stack] == [a, b]
+
+
+# ----------------------------------------------------------------------
+# Whole-chain pushes
+# ----------------------------------------------------------------------
+def test_call_under_pushes_the_chain_for_the_call_only():
+    base, a, b = site("base"), site("a", frame_size=64), site("b", frame_size=32)
+    stack = CallStack()
+    stack.push(base)
+
+    def probe(tag):
+        return tag, stack.depth, stack.stack_offset, [f.site for f in stack]
+
+    seen = stack.call_under(FrameChain.of([a, b]), probe, "x")
+    assert seen == ("x", 3, 48 + 96, [base, a, b])
+    assert (stack.depth, stack.stack_offset) == (1, 48)
+
+
+def test_call_under_restores_the_stack_when_malloc_raises():
+    from repro.core import CSODConfig, CSODRuntime
+    from repro.core.fastpath import FastAllocDealloc
+    from repro.errors import OutOfMemoryError
+    from repro.workloads.base import SimProcess
+
+    process = SimProcess(seed=0)
+    runtime = CSODRuntime(process.machine, process.heap, CSODConfig(), seed=0)
+    assert isinstance(runtime.monitor, FastAllocDealloc)
+    stack = process.main_thread.call_stack
+    outer = site("outer")
+    stack.push(outer)
+    chain = FrameChain.of([site("a"), site("b"), site("alloc")])
+    with pytest.raises(OutOfMemoryError):
+        stack.call_under(chain, process.heap.malloc, process.main_thread, 1 << 40)
+    assert (stack.depth, stack.stack_offset) == (1, outer.frame_size)
+    assert stack.top().site is outer
+
+
+def test_call_under_an_empty_chain_leaves_the_stack_unchanged():
+    a, b = site("a"), site("b")
+    stack = CallStack()
+    stack.push(a)
+    stack.push(b)
+    seen = stack.call_under(FrameChain.of([]), lambda: stack.depth)
+    assert seen == 2
+    assert [f.site for f in stack] == [a, b]
+    assert stack.stack_offset == a.frame_size + b.frame_size
+
+
+def test_chain_push_interns_the_context_the_guards_give():
+    from repro.callstack.contexts import ContextInterner
+
+    sites = [site("main", frame_size=64), site("mid", 32), site("alloc")]
+    guarded, whole = CallStack(), CallStack()
+    guarded_interner, whole_interner = ContextInterner(), ContextInterner()
+    guards = [guarded.calling(s) for s in sites]
+    for guard in guards:
+        guard.__enter__()
+    expected = guarded_interner.intern(guarded)
+    for guard in reversed(guards):
+        guard.__exit__(None, None, None)
+    got = whole.call_under(FrameChain.of(sites), whole_interner.intern, whole)
+    assert got == expected
+    assert got[1].frames == expected[1].frames

@@ -19,6 +19,7 @@ contract at three levels:
    the same scorecard whichever hot path powers the CSOD arms.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -55,6 +56,7 @@ def _observe(process, runtime, exit_reports):
     """The full observable surface of one execution."""
     ledger = process.machine.ledger
     counts = ledger.counts()
+    interner, table = runtime.sampling.interner, runtime.sampling.table
     return {
         "counts": counts,
         "nanos": {event: ledger.nanos(event) for event in counts},
@@ -62,6 +64,14 @@ def _observe(process, runtime, exit_reports):
         "reports": [_report_key(r) for r in runtime.reports],
         "exit_reports": [_report_key(r) for r in exit_reports],
         "stats": runtime.stats(),
+        # What every context lookup books, cache hit or table walk.
+        "contexts": {
+            "hits": interner.hits,
+            "misses": interner.misses,
+            "collisions_possible": interner.collisions_possible,
+            "lock_acquisitions": table.lock_acquisitions,
+            "chain_walk_steps": table.chain_walk_steps,
+        },
     }
 
 
@@ -97,6 +107,29 @@ def test_buggy_app_observables_identical(name):
     assert batched["reports"] == legacy["reports"]
     assert batched["exit_reports"] == legacy["exit_reports"]
     assert batched["stats"] == legacy["stats"]
+    assert batched["contexts"] == legacy["contexts"]
+
+
+def test_context_statistics_identical_on_a_small_table(monkeypatch):
+    """Eight buckets put most keys past chain position 1.
+
+    The batched hot path books a known key's chain position without
+    walking the chain, so the walk counts must still agree when the
+    walk is longer than one step.
+    """
+    import repro.core.runtime as runtime_module
+    from repro.core.context_key import ContextHashTable
+
+    monkeypatch.setattr(
+        runtime_module,
+        "ContextHashTable",
+        lambda ledger: ContextHashTable(bucket_count=8, ledger=ledger),
+    )
+    legacy = _run_app("mysql", HOTPATH_LEGACY, seed=7)
+    batched = _run_app("mysql", HOTPATH_BATCHED, seed=7)
+    walked = legacy["contexts"]
+    assert walked["chain_walk_steps"] > 2 * walked["lock_acquisitions"]
+    assert batched == legacy
 
 
 @pytest.mark.parametrize("seed", [0, 3, 19])
@@ -149,6 +182,42 @@ def _drive_hot_loop(hotpath: str):
 
 def test_throttle_and_floor_regime_identical():
     assert _drive_hot_loop(HOTPATH_BATCHED) == _drive_hot_loop(HOTPATH_LEGACY)
+
+
+# Two chains that collide on the cheap key — same allocating site, same
+# stack offset (64 + 48 == 32 + 32 + 48) — at different depths, plus a
+# third context between them so the one-entry cache keeps missing.
+COLLIDE_ALLOC = CallSite("EQ", "collide.c", 3, "alloc", frame_size=48)
+COLLIDE_SHALLOW = (CallSite("EQ", "collide.c", 1, "outer", frame_size=64),)
+COLLIDE_DEEP = (
+    CallSite("EQ", "collide.c", 2, "a", frame_size=32),
+    CallSite("EQ", "collide.c", 4, "b", frame_size=32),
+)
+
+
+def _drive_key_collisions(hotpath: str):
+    process, runtime, site = _fresh(hotpath)
+    thread = process.main_thread
+    chains = (
+        COLLIDE_SHALLOW + (COLLIDE_ALLOC,),
+        (site,),
+        COLLIDE_DEEP + (COLLIDE_ALLOC,),
+        (site,),
+    )
+    for i in range(400):
+        with contextlib.ExitStack() as guards:
+            for chain_site in chains[i % 4]:
+                guards.enter_context(thread.call_stack.calling(chain_site))
+            address = process.heap.malloc(thread, 24 + (i % 3) * 8)
+        process.heap.free(thread, address)
+    exit_reports = runtime.shutdown()
+    return _observe(process, runtime, exit_reports)
+
+
+def test_key_collisions_book_identically():
+    legacy = _drive_key_collisions(HOTPATH_LEGACY)
+    assert legacy["contexts"]["collisions_possible"] > 0
+    assert _drive_key_collisions(HOTPATH_BATCHED) == legacy
 
 
 def _drive_threads(hotpath: str):

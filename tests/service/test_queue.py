@@ -6,12 +6,15 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service.queue import (
+    MAX_FINISHED_JOBS,
     STATE_CANCELLED,
+    STATE_COMPLETED,
     STATE_QUEUED,
     STATE_RUNNING,
     CampaignSubmission,
     JobQueue,
 )
+from repro.service.stream import FIREHOSE, EventBus
 
 
 def test_submission_defaults_validate():
@@ -224,3 +227,71 @@ def test_submission_arms_change_the_job_id():
     random = CampaignSubmission(app="gzip", arms=("csod-random",))
     ids = {plain.job_id(1), csod.job_id(1), random.job_id(1)}
     assert len(ids) == 3
+
+
+def test_finished_jobs_are_bounded_and_leave_with_their_channels():
+    bus = EventBus()
+    queue = JobQueue(on_evict=bus.drop)
+    # A job that stays queued (lowest priority) and one that stays
+    # running: neither is ever evicted, however many others finish.
+    waiting = queue.submit(CampaignSubmission(app="gzip", priority=-1))
+    running = queue.submit(CampaignSubmission(app="gzip", priority=1))
+    assert queue.claim_next() is running
+    finished = []
+    for k in range(3 * MAX_FINISHED_JOBS):
+        job = queue.submit(CampaignSubmission(app="gzip", seed=k))
+        bus.publish(job.job_id, "job", state="queued")
+        if k % 5 == 0:
+            queue.cancel(job.job_id)  # cancelled while queued
+        else:
+            assert queue.claim_next() is job
+            job.state = STATE_COMPLETED
+            queue.retire(job)
+        finished.append(job.job_id)
+    retained, evicted = finished[-MAX_FINISHED_JOBS:], finished[:-MAX_FINISHED_JOBS]
+    assert len(queue._jobs) == MAX_FINISHED_JOBS + 2
+    assert set(bus._events) == set(retained) | {FIREHOSE}
+    assert set(bus._seqs) == set(retained) | {FIREHOSE}
+    assert queue.get(waiting.job_id).state == STATE_QUEUED
+    assert queue.get(running.job_id).state == STATE_RUNNING
+    for job_id in evicted:
+        assert queue.get(job_id) is None
+        assert queue.cancel(job_id) is None
+    for job_id in retained:
+        assert queue.get(job_id).finished
+        events = bus.events_since(job_id)
+        assert [(e["seq"], e["state"]) for e in events] == [(1, "queued")]
+
+
+def test_retirement_bound_holds_under_concurrent_cancellation():
+    import sys
+    import threading
+
+    evicted = []
+    queue = JobQueue(on_evict=evicted.append)
+    per_thread = MAX_FINISHED_JOBS
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        def cancel_own_jobs(worker):
+            for k in range(per_thread):
+                job = queue.submit(
+                    CampaignSubmission(app="gzip", seed=worker * 1000 + k)
+                )
+                queue.cancel(job.job_id)  # queued -> cancelled, retired
+
+        threads = [
+            threading.Thread(target=cancel_own_jobs, args=(w,)) for w in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    total = 4 * per_thread
+    assert len(queue._jobs) == len(queue._finished) == MAX_FINISHED_JOBS
+    assert len(evicted) == len(set(evicted)) == total - MAX_FINISHED_JOBS
+    assert not set(evicted) & set(queue._jobs)

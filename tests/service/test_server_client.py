@@ -109,6 +109,28 @@ def test_unknown_routes_and_jobs_are_404(client):
         client.job("job-000000000000")
 
 
+def test_evicted_job_is_404_and_retained_job_replays(monkeypatch):
+    import repro.service.queue as queue_module
+
+    monkeypatch.setattr(queue_module, "MAX_FINISHED_JOBS", 1)
+    with ServiceThread(total_workers=2) as service:
+        client = ServiceClient(port=service.port)
+        first = client.submit(CampaignSubmission(app="gzip", executions=2))
+        client.wait([first["job_id"]], timeout=120)
+        second = client.submit(
+            CampaignSubmission(app="gzip", executions=2, seed=1)
+        )
+        client.wait([second["job_id"]], timeout=120)
+        status, payload = client._request("GET", f"/jobs/{first['job_id']}")
+        assert status == 404
+        assert payload["error"] == f"unknown job {first['job_id']!r}"
+        assert client.result(second["job_id"])["scorecard"]["executions"] == 2
+        events, _ = client.poll_events(second["job_id"], since=0, timeout=0.2)
+        assert events[-1]["event"] == "job"
+        assert events[-1]["state"] == "completed"
+        assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
+
+
 def test_result_of_unfinished_job_is_409(client):
     job = client.submit(
         CampaignSubmission(app="gzip", executions=40, seed=9, priority=-5)
