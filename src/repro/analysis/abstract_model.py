@@ -2,10 +2,10 @@
 
 Replays a :class:`~repro.workloads.base.BuggyAppSpec` schedule against
 *only* the sampling mathematics: per-context probabilities under
-``repro.core.sampling``'s §III-B2/§IV-A rules (the same functions the
-live unit runs), four abstract watchpoint slots driven by the real
-replacement-policy classes, watchpoint ageing, and the victim's fate at
-the overflow access.  No heap, no syscalls, no canaries — which makes it
+``repro.core.sampling``'s §III-B2/§IV-A rules and four abstract
+watchpoint slots under ``repro.core.policies``' §III-C2 slot decision
+(the same functions the live units run), and the victim's fate at the
+overflow access.  No heap, no syscalls, no canaries — which makes it
 roughly an order of magnitude faster than the full simulation while
 agreeing with its detection rates (the test suite cross-checks this).
 
@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import CSODConfig
-from repro.core.policies import ReplacementPolicy, make_policy
+from repro.core.policies import SLOTS, choose_slot, next_pointer
 from repro.core.rng import PerThreadRNG
-from repro.core.sampling import aged, allocate, effective, halve, pin, revive
+from repro.core.sampling import allocate, effective, halve, pin, revive
 from repro.workloads.base import BuggyAppSpec, SyntheticBuggyApp
 
-_SLOTS = 4
 # The live main thread's tid: the stream every abstract draw consumes.
 _MAIN_TID = 1
 
@@ -40,12 +39,12 @@ class _AbstractContext:
     window_alloc_count: int = 0
     throttled_until_ns: int = 0
     floor_since_ns: int = -1
-    pinned: bool = False
+    overflow_observed: bool = False  # pinned by a trap (§IV-B)
 
 
 @dataclass
 class _AbstractSlot:
-    context_id: int
+    record: _AbstractContext
     event_index: int
     install_time_ns: int
 
@@ -65,11 +64,9 @@ class AbstractDetector:
         self.seed = seed
         self._app = _app or SyntheticBuggyApp(spec)
         self._rng = PerThreadRNG(seed)
-        self._policy: ReplacementPolicy = make_policy(
-            self.config.replacement_policy, _SLOTS
-        )
+        self._pointer = 0  # near-FIFO's (repro.core.policies.next_pointer)
         self._contexts: Dict[int, _AbstractContext] = {}
-        self._slots: List[Optional[_AbstractSlot]] = [None] * _SLOTS
+        self._slots: List[Optional[_AbstractSlot]] = [None] * SLOTS
         self._now_ns = 0
         self.watched_times = 0
 
@@ -86,24 +83,17 @@ class AbstractDetector:
     def _on_allocation(self, context_id: int) -> _AbstractContext:
         ctx = self._context(context_id)
         ctx.allocation_count += 1
-        if not ctx.pinned and allocate(ctx, self._now_ns, self.config):
+        if not ctx.overflow_observed and allocate(ctx, self._now_ns, self.config):
             revive(ctx, self._rng.uniform(tid=_MAIN_TID), self.config)
         return ctx
 
     def _effective(self, ctx: _AbstractContext) -> float:
-        return effective(ctx, ctx.pinned, self._now_ns, self.config)
-
-    def _slot_probability(self, slot: _AbstractSlot) -> float:
-        return aged(
-            self._effective(self._contexts[slot.context_id]),
-            self._now_ns - slot.install_time_ns,
-            self.config,
-        )
+        return effective(ctx, ctx.overflow_observed, self._now_ns, self.config)
 
     def _on_watched(self, ctx: _AbstractContext) -> None:
         ctx.watch_count += 1
         self.watched_times += 1
-        if not ctx.pinned:
+        if not ctx.overflow_observed:
             halve(ctx, self.config)
 
     # ------------------------------------------------------------------
@@ -122,7 +112,7 @@ class AbstractDetector:
                 self._free_slot_for(index)
             ctx = self._on_allocation(event.context_id)
             draw = self._rng.uniform(tid=_MAIN_TID) < self._effective(ctx)
-            self._try_watch(event.index, event.context_id, ctx, draw)
+            self._try_watch(event.index, ctx, draw)
             if event.free_after is not None:
                 pending_frees.setdefault(event.free_after, []).append(event.index)
             self._now_ns += work_ns
@@ -131,7 +121,7 @@ class AbstractDetector:
                 if detected:
                     # A real trap pins the context (§IV-B persistence).
                     victim = self._contexts[0]
-                    victim.pinned = True
+                    victim.overflow_observed = True
                     pin(victim)
         return detected
 
@@ -145,35 +135,29 @@ class AbstractDetector:
         for i, slot in enumerate(self._slots):
             if slot is not None and slot.event_index == event_index:
                 self._slots[i] = None
-                self._policy.on_freed(i)
                 return
 
-    def _try_watch(self, event_index, context_id, ctx, draw_passed) -> None:
-        free_index = next(
-            (i for i, slot in enumerate(self._slots) if slot is None), None
+    def _try_watch(self, event_index, ctx, draw_passed) -> None:
+        slots = self._slots
+        index = choose_slot(
+            slots,
+            ctx,
+            draw_passed,
+            self._now_ns,
+            self.config,
+            self._pointer,
+            self._rng,
+            _MAIN_TID,
         )
-        if free_index is not None:
-            self._install(free_index, event_index, context_id, ctx)
+        if index < 0:
             return
-        if not draw_passed:
-            return
-        view = [
-            (i, self._slot_probability(slot))
-            for i, slot in enumerate(self._slots)
-            if slot is not None
-        ]
-        victim = self._policy.select_victim(
-            view, self._effective(ctx), self._rng, tid=_MAIN_TID
-        )
-        if victim is None:
-            return
-        self._slots[victim] = None
-        self._policy.on_replaced(victim)
-        self._install(victim, event_index, context_id, ctx)
+        if slots[index] is not None:
+            self._pointer = next_pointer(index)
+        self._install(index, event_index, ctx)
 
-    def _install(self, slot_index, event_index, context_id, ctx) -> None:
+    def _install(self, slot_index, event_index, ctx) -> None:
         self._slots[slot_index] = _AbstractSlot(
-            context_id=context_id,
+            record=ctx,
             event_index=event_index,
             install_time_ns=self._now_ns,
         )

@@ -10,13 +10,17 @@ Termination Handling Unit with cross-execution persistence.
 
 Typical use::
 
-    machine = Machine(seed=7)
-    process = ...                       # a workload process
-    csod = CSODRuntime(process, CSODConfig(policy="near_fifo"), seed=7)
+    process = SimProcess(seed=7)        # machine + heap + symbols
+    csod = CSODRuntime(
+        process.machine,
+        process.heap,
+        CSODConfig(replacement_policy="near_fifo"),
+        seed=7,
+    )
     workload.run(process)
     csod.shutdown()
     for report in csod.reports:
-        print(report.render(symbols))
+        print(report.render(process.symbols))
 """
 
 from repro.core.config import CSODConfig, ReplacementPolicyName

@@ -10,8 +10,11 @@ work per interposed call collapses:
 
 * every per-rule call is inlined into one flat body per driver — the
   sampler rules are inlined copies of :mod:`repro.core.sampling`'s spec
-  functions, and ``tests/core/test_fastpath_spec.py`` checks them
-  against the spec after every step;
+  functions, the free-slot scan is an unrolled
+  :func:`repro.core.policies.free_slot`, and
+  ``tests/core/test_fastpath_spec.py`` checks both against their specs
+  after every step (a replacement still goes through
+  ``WatchpointManagementUnit.try_watch``);
 * runs of ledger records with no observation point between them are
   charged as precompiled
   :class:`~repro.machine.syscall_cost.CostBundle`\\ s, tallied into the
@@ -63,7 +66,6 @@ from repro.callstack.backtrace import PEEK_COST_NS
 from repro.callstack.contexts import ContextKey
 from repro.core.canary import CANARY_CHECK_COST_NS, CANARY_SET_COST_NS
 from repro.core.monitor import AllocDeallocMonitoringUnit
-from repro.core.policies import ReplacementPolicy
 from repro.core.reporting import (
     KIND_OVER_WRITE,
     OverflowReport,
@@ -256,14 +258,6 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
         self._uniforms = {}
         wmu = self._wmu
         self._perf = wmu._perf
-        # The base-class ``on_freed`` is a no-op in every shipped policy;
-        # skip the call entirely unless a policy actually overrides it.
-        policy = wmu._policy
-        self._policy_on_freed = (
-            None
-            if type(policy).on_freed is ReplacementPolicy.on_freed
-            else policy.on_freed
-        )
         self.malloc, self.free = self._compile()
 
     def _stream(self, tid: int):
@@ -387,7 +381,6 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
         # Thread objects are never removed from the registry (exit only
         # marks them dead), so fds' tids always resolve directly.
         registry = wmu._threads._threads
-        on_freed_hook = self._policy_on_freed
         boost = sampling.boost_to_certain
         sink = self._sink
 
@@ -795,8 +788,9 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
                 wmu.install_count += 1
             else:
                 # No free register: tally the whole-call bundle, then
-                # let the replacement policy decide (it charges its own
-                # syscalls through the legacy units).
+                # let try_watch run the slot decision spec, which
+                # replaces or declines (it charges its own syscalls
+                # through the legacy units).
                 mb = _M_DRAW if drawn else _MALLOC_COMMON
                 pending[mb] = pget(mb, 0) + 1
                 if draw_passed:
@@ -817,7 +811,6 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
             watched = by_address_pop(address, None)
             removed_fds = -1  # >= 0 when a removal must be charged below
             if watched is not None:
-                index = watched.slot_index
                 if batched:
                     by_address[address] = watched  # _remove pops it
                     wmu_remove(watched)
@@ -900,12 +893,10 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
                             event.closed = True
                             ev_pool.append(event)
                         fds_d.clear()
-                    wslots[index] = None
+                    wslots[watched.slot_index] = None
                     watched.slot_index = -1
                     watched.record = None
                     wo_pool.append(watched)
-                if on_freed_hook is not None:
-                    on_freed_hook(index)
             slot = addr_slot_get(address)
             if slot is None:
                 # Not a CSOD-wrapped object (allocated before

@@ -1,116 +1,125 @@
-"""Watchpoint replacement policies (§III-C2).
+"""The watchpoint slot decision (§III-C2), written once.
 
-When all four watchpoints are busy, a new candidate may preempt an
-installed one — but only if the candidate's probability beats the
-victim's *effective* (age-decayed) probability.  Three policies choose
-the victim:
+CSOD has four debug registers (``SLOTS``).  A candidate object takes the
+lowest-numbered free slot whether or not its sampling draw passed
+("installation due to availability").  With every slot busy it does
+nothing unless its draw passed; then it preempts the first slot, in its
+policy's probe order, whose aged effective probability
+(:func:`slot_probability`) is *strictly* below its own effective
+probability, or declines:
 
-* **naive** — never preempt; a watchpoint lives until its object is
-  freed.  Detects bugs only in programs whose overflowing object is
-  within the first four allocations (or that have <= 4 contexts).
-* **random** — probe a random slot; walk forward until a slot with a
-  lower probability is found.
-* **near-FIFO** — probe slots starting from a circular pointer at the
-  oldest installation; the pointer advances only on replacement (a
-  single atomic update in the paper), and deallocations perturb the
-  order — hence "near"-FIFO.
+* **naive** always declines: a watchpoint lives until its object is
+  freed, so only bugs among the first four watched objects are caught;
+* **random** probes from ``rng.below(tid, 4)``, a draw from the
+  allocating thread's stream;
+* **near-FIFO** probes from a circular pointer that moves to one past
+  the victim on a replacement (:func:`next_pointer`, a single atomic
+  update in the paper) and never on a free, so deallocations perturb
+  the order — hence "near"-FIFO.
+
+A decision observes one instant: every probability is read at the
+clock's value before the random policy's draw, which charges
+``RNG_DRAW_COST_NS`` to the virtual clock.
+
+A slot is ``None`` or an object with ``record`` and ``install_time_ns``;
+a record carries the five sampler fields and ``overflow_observed``.
+:func:`choose_slot` is the whole decision.
+``WatchpointManagementUnit.try_watch`` (which both hot paths reach) and
+``repro.analysis.AbstractDetector`` call it, and
+``tests/core/test_fastpath_spec.py`` checks the batched driver's inlined
+free-slot scan, its replacements and its declines against it under
+every policy.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence
 
-from repro.core.config import (
-    POLICY_NAIVE,
-    POLICY_NEAR_FIFO,
-    POLICY_RANDOM,
-    ReplacementPolicyName,
-)
+from repro.core.config import POLICY_NAIVE, POLICY_RANDOM, CSODConfig
 from repro.core.rng import PerThreadRNG
-from repro.errors import CSODError
+from repro.core.sampling import aged, effective
+from repro.machine.debug_registers import NUM_USABLE_DEBUG_REGISTERS
 
-# (slot index, effective probability) for each occupied slot.
-SlotView = List[Tuple[int, float]]
-
-
-class ReplacementPolicy:
-    """Interface: pick a victim slot for a candidate, or decline."""
-
-    name: ReplacementPolicyName = "abstract"
-
-    def select_victim(
-        self,
-        slots: SlotView,
-        candidate_probability: float,
-        rng: PerThreadRNG,
-        tid: int,
-    ) -> Optional[int]:
-        raise NotImplementedError
-
-    def on_replaced(self, slot_index: int) -> None:
-        """Notification that ``slot_index`` was just replaced."""
-
-    def on_freed(self, slot_index: int) -> None:
-        """Notification that ``slot_index`` was vacated by a free."""
+SLOTS = NUM_USABLE_DEBUG_REGISTERS
 
 
-class NaivePolicy(ReplacementPolicy):
-    """No preemption: watchpoints persist until deallocation."""
-
-    name = POLICY_NAIVE
-
-    def select_victim(self, slots, candidate_probability, rng, tid):
-        return None
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Probe a random slot, then walk until a weaker one is found."""
-
-    name = POLICY_RANDOM
-
-    def select_victim(self, slots, candidate_probability, rng, tid):
-        if not slots:
-            return None
-        start = rng.below(tid, len(slots))
-        for step in range(len(slots)):
-            index, probability = slots[(start + step) % len(slots)]
-            if probability < candidate_probability:
-                return index
-        return None
+def free_slot(slots: Sequence[Optional[object]]) -> int:
+    """The lowest-numbered free (``None``) slot, or -1 when all are busy."""
+    for index, slot in enumerate(slots):
+        if slot is None:
+            return index
+    return -1
 
 
-class NearFifoPolicy(ReplacementPolicy):
-    """Circular-pointer FIFO, relaxed around deallocations."""
+def slot_probability(slot, now_ns: int, config: CSODConfig) -> float:
+    """A watched slot's victim-selection probability at ``now_ns``.
 
-    name = POLICY_NEAR_FIFO
-
-    def __init__(self, slot_count: int = 4):
-        self._pointer = 0
-        self._slot_count = slot_count
-
-    def select_victim(self, slots, candidate_probability, rng, tid):
-        if not slots:
-            return None
-        by_index = {index: probability for index, probability in slots}
-        for step in range(self._slot_count):
-            index = (self._pointer + step) % self._slot_count
-            probability = by_index.get(index)
-            if probability is not None and probability < candidate_probability:
-                return index
-        return None
-
-    def on_replaced(self, slot_index: int) -> None:
-        # The single atomic pointer update of §III-C2: advance past the
-        # slot that was just replaced.
-        self._pointer = (slot_index + 1) % self._slot_count
+    Its context's live effective probability (already watch-halved),
+    halved per full ageing period since installation: long-watched,
+    quiet objects become progressively easier to evict.
+    """
+    record = slot.record
+    return aged(
+        effective(record, record.overflow_observed, now_ns, config),
+        now_ns - slot.install_time_ns,
+        config,
+    )
 
 
-def make_policy(name: ReplacementPolicyName, slot_count: int = 4) -> ReplacementPolicy:
-    """Instantiate a policy by its configuration name."""
-    if name == POLICY_NAIVE:
-        return NaivePolicy()
-    if name == POLICY_RANDOM:
-        return RandomPolicy()
-    if name == POLICY_NEAR_FIFO:
-        return NearFifoPolicy(slot_count)
-    raise CSODError(f"unknown replacement policy {name!r}")
+def choose_victim(
+    policy: str,
+    probabilities: Sequence[float],
+    candidate: float,
+    pointer: int,
+    rng: PerThreadRNG,
+    tid: int,
+) -> int:
+    """The busy slot a drawn candidate preempts, or -1 to decline.
+
+    ``probabilities`` holds every slot's :func:`slot_probability` and
+    ``candidate`` the candidate's effective probability, all read before
+    this call's draw.  ``pointer`` is near-FIFO's.
+    """
+    if policy == POLICY_NAIVE:
+        return -1
+    start = rng.below(tid, SLOTS) if policy == POLICY_RANDOM else pointer
+    for step in range(SLOTS):
+        index = (start + step) % SLOTS
+        if probabilities[index] < candidate:
+            return index
+    return -1
+
+
+def next_pointer(victim: int) -> int:
+    """Near-FIFO's pointer after replacing ``victim``: one past it."""
+    return (victim + 1) % SLOTS
+
+
+def choose_slot(
+    slots: Sequence[Optional[object]],
+    record,
+    passed: bool,
+    now_ns: int,
+    config: CSODConfig,
+    pointer: int,
+    rng: PerThreadRNG,
+    tid: int,
+) -> int:
+    """Where a candidate goes: a free slot, a busy slot to preempt, or -1.
+
+    ``passed`` says whether the candidate's sampling draw passed, and
+    ``now_ns`` is the instant every probability is read at.  -1 after a
+    passed draw is a decline.  A busy slot is a replacement: the caller
+    removes its object and moves the pointer to :func:`next_pointer`.
+    """
+    index = free_slot(slots)
+    if index >= 0 or not passed:
+        return index
+    return choose_victim(
+        config.replacement_policy,
+        [slot_probability(slot, now_ns, config) for slot in slots],
+        effective(record, record.overflow_observed, now_ns, config),
+        pointer,
+        rng,
+        tid,
+    )

@@ -20,9 +20,10 @@ unit adapts online:
 Each rule is written exactly once, below, as a function that updates in
 place any object carrying the five sampler fields (``probability``,
 ``window_start_ns``, ``window_alloc_count``, ``throttled_until_ns``,
-``floor_since_ns``).  :class:`SamplingManagementUnit`, the watchpoint
-unit's ageing, ``repro.analysis.AbstractDetector`` and the adversarial
-solver all run these functions; the frozen :class:`SamplerState` is only
+``floor_since_ns``).  :class:`SamplingManagementUnit`, the slot
+decision's ageing (``repro.core.policies``),
+``repro.analysis.AbstractDetector`` and the adversarial solver all run
+these functions; the frozen :class:`SamplerState` is only
 the solver's hashable snapshot of them.  The batched driver
 (``repro.core.fastpath``) inlines the same arithmetic for speed, and
 ``tests/core/test_fastpath_spec.py`` checks it against these functions

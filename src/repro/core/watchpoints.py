@@ -16,12 +16,12 @@ counts (§V-B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.config import CSODConfig, HOTPATH_BATCHED
-from repro.core.policies import ReplacementPolicy, make_policy
+from repro.core.policies import choose_slot, next_pointer
 from repro.core.rng import PerThreadRNG
-from repro.core.sampling import ContextRecord, SamplingManagementUnit, aged
+from repro.core.sampling import ContextRecord, SamplingManagementUnit
 from repro.machine.clock import VirtualClock
 from repro.machine.debug_registers import NUM_USABLE_DEBUG_REGISTERS
 from repro.machine.perf_events import (
@@ -56,8 +56,9 @@ class WatchedObject:
     # The probability the object was sampled with, frozen at
     # installation.  Only diagnostics read it: replacement ages the
     # live (already watch-halved) context probability instead
-    # (effective_slot_probability), not §III-C2's frozen object
-    # probability — the deviation EXPERIMENTS.md's Table IV note covers.
+    # (repro.core.policies.slot_probability), not §III-C2's frozen
+    # object probability — the deviation EXPERIMENTS.md's Table IV note
+    # covers.
     install_probability: float = 0.0
     slot_index: int = -1
     # One perf-event fd per alive thread the watchpoint is armed on.
@@ -91,9 +92,8 @@ class WatchpointManagementUnit:
         # the per-deallocation "is this object watched?" probe is one
         # dict hit instead of a four-slot scan.
         self._by_address: Dict[int, WatchedObject] = {}
-        self._policy: ReplacementPolicy = make_policy(
-            config.replacement_policy, NUM_USABLE_DEBUG_REGISTERS
-        )
+        # Near-FIFO's circular pointer (repro.core.policies.next_pointer).
+        self._pointer = 0
         # The batched hot path charges each Fig. 3/Fig. 4 sequence as one
         # precompiled bundle; the legacy path replays it syscall by
         # syscall.  Ledger totals are identical either way.
@@ -128,29 +128,32 @@ class WatchpointManagementUnit:
         ``probability_checked`` is True when the caller already passed a
         sampling draw; a free slot is used unconditionally either way
         ("installation due to availability", §III-B2), but replacement is
-        attempted only for candidates that passed the draw.
+        attempted only for candidates that passed the draw.  The slot
+        decision is :func:`repro.core.policies.choose_slot`, observed at
+        the clock's value on entry.
         """
-        free_index = self._free_slot()
-        if free_index is not None:
-            return self._install(
-                free_index, object_address, object_size, watch_address, record
-            )
-        if not probability_checked:
-            return None
-        candidate_probability = self._sampling.effective_probability(record)
-        victim_index = self._policy.select_victim(
-            self._occupied_view(), candidate_probability, self._rng, thread.tid
+        slots = self._slots
+        index = choose_slot(
+            slots,
+            record,
+            probability_checked,
+            self._clock.now_ns,
+            self._config,
+            self._pointer,
+            self._rng,
+            thread.tid,
         )
-        if victim_index is None:
-            self.declined_count += 1
+        if index < 0:
+            if probability_checked:
+                self.declined_count += 1
             return None
-        victim = self._slots[victim_index]
-        assert victim is not None
-        self._remove(victim)
-        self.replace_count += 1
-        self._policy.on_replaced(victim_index)
+        victim = slots[index]
+        if victim is not None:
+            self._remove(victim)
+            self.replace_count += 1
+            self._pointer = next_pointer(index)
         return self._install(
-            victim_index, object_address, object_size, watch_address, record
+            index, object_address, object_size, watch_address, record
         )
 
     # ------------------------------------------------------------------
@@ -161,9 +164,7 @@ class WatchpointManagementUnit:
         watched = self._by_address.get(object_address)
         if watched is None:
             return False
-        index = watched.slot_index
         self._remove(watched)
-        self._policy.on_freed(index)
         return True
 
     def find_by_object_address(self, object_address: int) -> Optional[WatchedObject]:
@@ -191,32 +192,8 @@ class WatchpointManagementUnit:
         return sum(1 for slot in self._slots if slot is None)
 
     # ------------------------------------------------------------------
-    # Ageing (§III-C2)
-    # ------------------------------------------------------------------
-    def effective_slot_probability(self, watched: WatchedObject) -> float:
-        """The victim-selection probability, decayed by installed age."""
-        return aged(
-            self._sampling.effective_probability(watched.record),
-            self._clock.now_ns - watched.install_time_ns,
-            self._config,
-        )
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _free_slot(self) -> Optional[int]:
-        for index, slot in enumerate(self._slots):
-            if slot is None:
-                return index
-        return None
-
-    def _occupied_view(self) -> List[Tuple[int, float]]:
-        return [
-            (index, self.effective_slot_probability(slot))
-            for index, slot in enumerate(self._slots)
-            if slot is not None
-        ]
-
     def _install(
         self,
         slot_index: int,

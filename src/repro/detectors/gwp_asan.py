@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.callstack.backtrace import Backtracer
+from repro.core.rng import PerThreadRNG
 from repro.detectors.base import DetectorReport
 from repro.errors import ReproError
 from repro.heap.interpose import RawHeap
@@ -64,6 +65,23 @@ GWP_ASAN_OVERHEAD_EVENTS = (
 STATE_FREE = "free"
 STATE_LIVE = "live"
 STATE_QUARANTINED = "quarantined"
+
+
+def countdown(
+    remaining: int, sample_every: int, rng: PerThreadRNG, tid: int
+) -> Tuple[bool, int]:
+    """One allocation's step of the sampling gate: (sampled, remaining).
+
+    A sampled allocation re-arms the countdown with a draw from thread
+    ``tid``'s stream, uniform on [1, 2*sample_every - 1]: mean
+    ``sample_every``, so the long-run rate matches 1/sample_every
+    without a modulo on the allocation hot path.
+    """
+    if sample_every == 1:
+        return True, remaining
+    if remaining > 0:
+        return False, remaining - 1
+    return True, 1 + rng.below(tid, 2 * sample_every - 1)
 
 
 @dataclass(frozen=True)
@@ -259,8 +277,6 @@ class GwpAsanRuntime:
         config: Optional[GwpAsanConfig] = None,
         seed: int = 0,
     ):
-        from repro.core.rng import PerThreadRNG
-
         self.machine = machine
         self.config = config or GwpAsanConfig()
         self._raw: RawHeap = interposer.raw
@@ -335,18 +351,10 @@ class GwpAsanRuntime:
     # Sampling gate
     # ------------------------------------------------------------------
     def _should_sample(self, thread: SimThread) -> bool:
-        if self.config.sample_every == 1:
-            return True
-        if self._next_sample > 0:
-            self._next_sample -= 1
-            return False
-        # Uniform on [1, 2*sample_every - 1]: mean sample_every, so the
-        # long-run rate matches 1/sample_every without a modulo on the
-        # allocation hot path.
-        self._next_sample = 1 + self._rng.below(
-            thread.tid, 2 * self.config.sample_every - 1
+        sampled, self._next_sample = countdown(
+            self._next_sample, self.config.sample_every, self._rng, thread.tid
         )
-        return True
+        return sampled
 
     def _guarded_alloc(self, thread: SimThread, slot: _Slot, size: int) -> int:
         self.sampled_count += 1

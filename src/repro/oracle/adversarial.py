@@ -49,7 +49,7 @@ from repro.core.sampling import (
     throttled,
 )
 from repro.detectors import get as get_detector
-from repro.detectors.gwp_asan import GwpAsanConfig, GwpAsanRuntime
+from repro.detectors.gwp_asan import GwpAsanConfig, GwpAsanRuntime, countdown
 from repro.errors import WorkloadError
 from repro.machine.debug_registers import NUM_USABLE_DEBUG_REGISTERS
 from repro.oracle.grammar import (
@@ -468,13 +468,13 @@ def _solve_sampler_target(
 def _solve_gwp_target(
     seed: int, target: str, node_budget: int
 ) -> Solution:
-    """Mirror GWP-ASan's countdown against a drained pool.
+    """Run GWP-ASan's countdown against a drained pool.
 
-    Replays ``_should_sample`` with the same per-thread stream the live
-    runtime seeds (``PerThreadRNG(base_seed)``, main-thread tid) and a
-    pool counter, searching for the first allocation whose countdown
-    fires *after* every guarded slot is held live — the sample that
-    falls through to the raw allocator.
+    Steps :func:`~repro.detectors.gwp_asan.countdown` with the same
+    per-thread stream the live runtime seeds (``PerThreadRNG(base_seed)``,
+    main-thread tid) and a pool counter, searching for the first
+    allocation whose countdown fires *after* every guarded slot is held
+    live — the sample that falls through to the raw allocator.
     """
     config = PROBE_GWP_CONFIG
     base_seed = _base_seed(seed, target)
@@ -484,16 +484,9 @@ def _solve_gwp_target(
     explored = 0
     for index in range(min(_GWP_SEARCH_BOUND, node_budget)):
         explored += 1
-        if config.sample_every == 1:
-            sampled = True
-        elif next_sample > 0:
-            next_sample -= 1
-            sampled = False
-        else:
-            next_sample = 1 + mirror.below(
-                MAIN_TID, 2 * config.sample_every - 1
-            )
-            sampled = True
+        sampled, next_sample = countdown(
+            next_sample, config.sample_every, mirror, MAIN_TID
+        )
         if sampled:
             if pool_free == 0:
                 rng = random.Random(_genome_seed(seed, target))
@@ -894,18 +887,13 @@ def _probe_gwp_corner(program: OracleProgram) -> CornerReport:
     samples: List[Tuple[bool, bool]] = []  # (sampled, pool_empty)
     original_should_sample = runtime._should_sample
     pool = runtime.pool
-    original_acquire = pool.acquire
 
     def spy_should_sample(thread):
         sampled = original_should_sample(thread)
         samples.append((sampled, len(pool._free) == 0))
         return sampled
 
-    def spy_acquire():
-        return original_acquire()
-
     runtime._should_sample = spy_should_sample
-    pool.acquire = spy_acquire
 
     AdversarialApp(spec).run(process)
     runtime.shutdown()

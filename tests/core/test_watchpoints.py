@@ -5,7 +5,8 @@ import pytest
 from repro.callstack.contexts import ContextInterner
 from repro.callstack.frames import CallSite, CallStack
 from repro.core.config import CSODConfig, POLICY_NAIVE, POLICY_RANDOM
-from repro.core.rng import PerThreadRNG
+from repro.core.policies import slot_probability
+from repro.core.rng import RNG_DRAW_COST_NS, PerThreadRNG
 from repro.core.sampling import SamplingManagementUnit
 from repro.core.watchpoints import WatchpointManagementUnit
 from repro.machine.clock import NANOS_PER_SECOND
@@ -175,12 +176,40 @@ def test_thread_exit_drops_fd():
 def test_ageing_halves_slot_probability():
     h = Harness()
     watched = h.watch()
-    base = h.wmu.effective_slot_probability(watched)
+
+    def probability():
+        return slot_probability(watched, h.machine.clock.now_ns, h.config)
+
+    base = probability()
     h.machine.clock.advance(int(10.5 * NANOS_PER_SECOND))
-    aged = h.wmu.effective_slot_probability(watched)
-    assert aged == pytest.approx(base / 2)
+    assert probability() == pytest.approx(base / 2)
     h.machine.clock.advance(int(10 * NANOS_PER_SECOND))
-    assert h.wmu.effective_slot_probability(watched) == pytest.approx(base / 4)
+    assert probability() == pytest.approx(base / 4)
+
+
+def test_probabilities_are_read_before_the_random_draw():
+    """One unpinned slot reaches its ageing period inside the draw's
+    15 ns charge: read before the draw it is still as strong as the
+    candidate, so the candidate declines."""
+    h = Harness(policy=POLICY_RANDOM)  # a charging clock
+    slots = [h.watch(h.record(f"slot{i}")) for i in range(4)]
+    for watched in slots[:3]:
+        h.sampling.boost_to_certain(watched.record)  # never below a candidate
+    quiet = slots[3]
+    quiet.record.probability = 0.4
+    candidate = h.record("candidate")
+    candidate.probability = 0.3
+
+    period = int(h.config.watchpoint_age_seconds * NANOS_PER_SECOND)
+    before = quiet.install_time_ns + period - RNG_DRAW_COST_NS // 2
+    after = before + RNG_DRAW_COST_NS
+    assert slot_probability(quiet, before, h.config) == 0.4
+    assert slot_probability(quiet, after, h.config) == 0.2
+    h.machine.clock.advance(before - h.machine.clock.now_ns)
+    assert h.watch(candidate) is None
+    assert h.machine.clock.now_ns == after  # the draw was made and charged
+    assert (h.wmu.declined_count, h.wmu.replace_count) == (1, 0)
+    assert h.wmu.watched_objects() == slots
 
 
 def test_remove_all():

@@ -5,7 +5,9 @@ import tracemalloc
 import pytest
 
 from repro.callstack.frames import CallSite
+from repro.core.rng import PerThreadRNG
 from repro.detectors import GwpAsanConfig, GwpAsanRuntime, GwpAsanSlotPool
+from repro.detectors.gwp_asan import countdown
 from repro.errors import ReproError, SegmentationFault
 from repro.machine.address_space import PAGE_SIZE
 from repro.workloads.base import SimProcess
@@ -123,6 +125,17 @@ def test_sampling_gate_is_rare_but_nonzero():
     assert 1 <= runtime.sampled_count <= 60
     for address in addresses:
         free(process, address)
+
+
+def test_countdown_samples_then_skips_a_drawn_gap():
+    rng, twin = PerThreadRNG(5), PerThreadRNG(5)
+    assert countdown(0, 1, rng, tid=1) == (True, 0)  # every allocation
+    assert rng.streams_created() == 0  # without a draw
+    sampled, remaining = countdown(0, 3, rng, tid=1)
+    assert (sampled, remaining) == (True, 1 + twin.below(1, 5))
+    for left in range(remaining - 1, -1, -1):
+        assert countdown(left + 1, 3, rng, tid=1) == (False, left)
+    assert countdown(0, 3, rng, tid=1) == (True, 1 + twin.below(1, 5))
 
 
 def test_pool_exhaustion_falls_back_to_raw_heap():

@@ -8,10 +8,11 @@ clock, every report, and every fleet/oracle scorecard must be identical
 to the legacy per-object units, byte for byte.  These tests pin that
 contract at three levels:
 
-1. **Single execution** — same workload, same seed, both hot paths:
-   identical ledger event counts *and* nanos, identical final virtual
-   clock, identical reports (including ``time_ns``, the strongest
-   mid-run clock probe), identical runtime stats.
+1. **Single execution** — same workload, same seed, same replacement
+   policy, both hot paths: identical ledger event counts *and* nanos,
+   identical final virtual clock, identical reports (including
+   ``time_ns``, the strongest mid-run clock probe), identical runtime
+   stats.
 2. **Error paths** — free(NULL), out-of-memory, double free, and
    invalid free must unwind with charge-exact ledgers and clocks.
 3. **Campaign scale** — fleet scorecards are byte-identical across hot
@@ -26,7 +27,12 @@ import pytest
 
 from repro.callstack.frames import CallSite
 from repro.core import CSODConfig, CSODRuntime
-from repro.core.config import HOTPATH_BATCHED, HOTPATH_LEGACY
+from repro.core.config import (
+    HOTPATH_BATCHED,
+    HOTPATH_LEGACY,
+    POLICIES,
+    POLICY_NEAR_FIFO,
+)
 from repro.core.fastpath import FastAllocDealloc
 from repro.core.monitor import AllocDeallocMonitoringUnit
 from repro.errors import DoubleFreeError, InvalidFreeError, OutOfMemoryError
@@ -75,12 +81,12 @@ def _observe(process, runtime, exit_reports):
     }
 
 
-def _run_app(name: str, hotpath: str, seed: int):
+def _run_app(name: str, hotpath: str, seed: int, policy=POLICY_NEAR_FIFO):
     process = SimProcess(seed=seed)
     runtime = CSODRuntime(
         process.machine,
         process.heap,
-        CSODConfig(hotpath=hotpath),
+        CSODConfig(hotpath=hotpath, replacement_policy=policy),
         seed=seed,
     )
     expected = (
@@ -95,12 +101,24 @@ def _run_app(name: str, hotpath: str, seed: int):
 
 
 # ----------------------------------------------------------------------
-# 1. Single-execution equivalence across every buggy app
+# 1. Single-execution equivalence across every buggy app and policy
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(BUGGY_APPS))
-def test_buggy_app_observables_identical(name):
-    legacy = _run_app(name, HOTPATH_LEGACY, seed=7)
-    batched = _run_app(name, HOTPATH_BATCHED, seed=7)
+# The default policy's cases keep the bare app name as their id.
+@pytest.mark.parametrize(
+    "name, policy",
+    [
+        pytest.param(
+            name,
+            policy,
+            id=name if policy == POLICY_NEAR_FIFO else f"{name}-{policy}",
+        )
+        for name in sorted(BUGGY_APPS)
+        for policy in POLICIES
+    ],
+)
+def test_buggy_app_observables_identical(name, policy):
+    legacy = _run_app(name, HOTPATH_LEGACY, seed=7, policy=policy)
+    batched = _run_app(name, HOTPATH_BATCHED, seed=7, policy=policy)
     assert batched["counts"] == legacy["counts"]
     assert batched["nanos"] == legacy["nanos"]
     assert batched["clock_ns"] == legacy["clock_ns"]
@@ -134,9 +152,13 @@ def test_context_statistics_identical_on_a_small_table(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 3, 19])
 def test_equivalence_across_seeds(seed):
-    legacy = _run_app("libtiff", HOTPATH_LEGACY, seed=seed)
-    batched = _run_app("libtiff", HOTPATH_BATCHED, seed=seed)
-    assert batched == legacy
+    # libtiff never fills the four registers; memcached declines under
+    # every policy and replaces under random and near-FIFO.
+    for name in ("libtiff", "memcached"):
+        for policy in POLICIES:
+            legacy = _run_app(name, HOTPATH_LEGACY, seed, policy)
+            batched = _run_app(name, HOTPATH_BATCHED, seed, policy)
+            assert batched == legacy, (name, policy)
 
 
 # ----------------------------------------------------------------------
