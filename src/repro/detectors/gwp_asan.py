@@ -26,7 +26,7 @@ already had:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.callstack.backtrace import Backtracer

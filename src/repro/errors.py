@@ -89,8 +89,10 @@ class CampaignCancelled(ReproError):
 
     Raised by :class:`repro.fleet.pool.FleetPool` when a stop request
     (client cancellation, service shutdown, Ctrl-C) interrupts a wave.
-    The pool guarantees its worker processes are terminated before this
-    propagates, so catching it never leaks an executor.
+    The pool has cancelled or dropped the wave's chunks and released
+    its lease before this propagates (terminating the shared workers
+    when no other campaign holds them), so catching it never leaks
+    work or workers.
     """
 
 

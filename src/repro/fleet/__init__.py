@@ -20,7 +20,13 @@ from repro.fleet.aggregate import (
     render_fleet_report,
 )
 from repro.fleet.evidence_store import EvidenceStore, TemporaryEvidenceStore
-from repro.fleet.pool import FleetPool, WaveResult, execute_spec, run_chunk
+from repro.fleet.pool import (
+    FleetPool,
+    WaveResult,
+    close_executor,
+    execute_spec,
+    run_chunk,
+)
 from repro.fleet.runner import (
     FleetCampaign,
     FleetRunResult,
@@ -63,6 +69,7 @@ __all__ = [
     "WaveProgress",
     "WaveResult",
     "WorkChunk",
+    "close_executor",
     "execute_spec",
     "read_jsonl",
     "render_fleet_report",

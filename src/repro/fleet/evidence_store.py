@@ -76,9 +76,8 @@ class EvidenceStore:
     def absorb(self, signatures: Iterable[str]) -> FrozenSet[str]:
         """Fold in new signatures; returns exactly the new ones.
 
-        The returned set is what a coordinator broadcasts as the next
-        evidence *delta* (:meth:`FleetPool.advance_evidence`) — workers
-        already hold everything older.
+        The returned set is what a coordinator adds to the evidence its
+        next wave's chunks carry (:meth:`FleetPool.advance_evidence`).
         """
         incoming = set(signatures)
         self._refresh_external()

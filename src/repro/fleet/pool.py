@@ -7,28 +7,38 @@ CSOD and only reports flow back centrally.
 
 The pool is built for campaign throughput:
 
-* **Persistent workers** — one executor per :class:`FleetPool`, created
-  lazily on the first parallel wave and reused across waves.  The
-  worker initializer pre-imports the runtime (this module's imports)
-  and pre-warms the per-app schedule/call-site caches once per process,
-  instead of once per execution.  The executor is rebuilt only when a
-  worker hangs past its deadline or the pool breaks
-  (``executor_rebuilds`` counts those, and only those).
+* **One warm executor per process** — every :class:`FleetPool` (fleet
+  campaigns, ``run_oracle``, service jobs, the CLI) leases the same
+  lazily created executor instead of forking its own.  It is created
+  on the first parallel wave, with as many workers as the widest live
+  campaign asked for, and a campaign keeps at most ``workers`` of its
+  chunks in flight.  Apps are warmed in the parent before a fork, so
+  workers inherit their schedules and interned call sites; a worker
+  meeting an app it was not forked with builds it by name.
+  :meth:`FleetPool.close` releases the lease, and the executor
+  terminates its workers once no campaign has held it for
+  :data:`IDLE_SHUTDOWN_SECONDS`.  It is rebuilt only when a worker
+  hangs past its deadline or the pool breaks (``executor_rebuilds``
+  counts those, and only those).
 * **Chunked dispatch** — specs are submitted in :class:`WorkChunk`s
   (``chunk_size`` configurable, default ``ceil(wave / workers)``), so
   one pickle/IPC round trip and one config transfer amortise over many
   executions; inside a chunk the worker runs serially and returns one
   batched :class:`ChunkOutcome`.
-* **Delta evidence** — workers hold the evidence snapshot from campaign
-  start (:meth:`FleetPool.set_evidence_base`, shipped once via the
-  initializer); each chunk carries only the signatures merged since
-  (:meth:`FleetPool.advance_evidence`), reconstructed worker-side as
-  ``base | delta`` — a set, so detection behaviour is byte-for-byte the
-  same as shipping the full snapshot.
+* **Campaign state rides in the chunk** — each chunk carries its
+  campaign's token and the wave's full evidence set (the campaign-start
+  base plus every signature merged since), so any worker can run any
+  campaign's chunk.  Workers remember, per recent campaign, which
+  signatures' frame strings they already shipped.
 * **Mergeable partial aggregation** — the worker folds its chunk into a
   :class:`PartialAggregate` and ships signatures, not frame strings
   (those travel once per novel signature); the coordinator rehydrates
   full :class:`ExecutionResult`s from its context registry.
+* **Flat worker memory** — every execution leaves its simulated machine
+  in reference cycles that only a full collection frees.  Workers
+  freeze the heap they were forked with (``gc.freeze``) and collect
+  after every chunk, so a long-lived worker stays as small as a fresh
+  one and each collection scans only what the chunk left behind.
 
 Failure policy, per execution:
 
@@ -45,6 +55,12 @@ Failure policy, per execution:
   second-attempt chunk.
 * Executions that fail twice come back as failed
   :class:`ExecutionResult`s rather than exceptions.
+* Chunks that die because *another* campaign's timeout rebuild (or
+  stop) terminated the shared workers are resubmitted at the same
+  attempt number and count no crash.
+* A stopped campaign cancels its queued chunks and discards its running
+  ones; it terminates the workers only when no other campaign holds
+  the executor.
 
 ``workers <= 1`` runs every chunk inline through the *same* chunk
 executor, so serial callers share one code path and one set of
@@ -54,12 +70,21 @@ semantics with the parallel fleet.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import itertools
 import math
+import os
 import threading
 import time
 import traceback
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+import weakref
+from collections import OrderedDict, deque
+from concurrent.futures import (
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    TimeoutError as FutureTimeout,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
@@ -95,31 +120,16 @@ from repro.workloads.buggy import app_for
 
 DEFAULT_TIMEOUT_SECONDS = 60.0
 
+# Seconds the shared executor may go without a lease before it
+# terminates its workers: back-to-back campaigns reuse warm workers,
+# and a process done with the fleet has no idle children a second on.
+IDLE_SHUTDOWN_SECONDS = 1.0
 
-# ----------------------------------------------------------------------
-# Worker-side campaign state
-# ----------------------------------------------------------------------
-# One campaign per pool, one pool per executor: the initializer stamps
-# this once per worker process (and inherits pre-warmed app caches on
-# fork platforms for free).
-_WORKER_CAMPAIGN: Dict[str, object] = {
-    "base_evidence": frozenset(),
-    "shipped": set(),
-}
-
-
-def _init_worker(
-    apps: Tuple[str, ...], base_evidence: Tuple[str, ...]
-) -> None:
-    """Per-process warm-up: campaign evidence base + app caches."""
-    _WORKER_CAMPAIGN["base_evidence"] = frozenset(base_evidence)
-    _WORKER_CAMPAIGN["shipped"] = set()
-    for name in apps:
-        try:
-            app_for(name)
-        except Exception:  # noqa: BLE001 — a bad app name fails its own
-            # executions (crash + retry), not worker start-up.
-            pass
+# How many campaigns' shipped-frames sets a worker remembers.  Forgetting
+# one only re-ships frame strings, which the coordinator merges
+# idempotently.
+_SHIPPED_CAMPAIGNS = 16
+_SHIPPED: "OrderedDict[int, Set[str]]" = OrderedDict()
 
 
 def execute_spec(spec: ExecutionSpec) -> ExecutionResult:
@@ -269,16 +279,22 @@ def run_chunk(
 
 
 def _execute_chunk(chunk: WorkChunk) -> ChunkOutcome:
-    """The worker-side entry point: evidence is ``base | delta``."""
-    base = _WORKER_CAMPAIGN["base_evidence"]
-    evidence = frozenset(base | set(chunk.evidence_delta))
-    return run_chunk(
+    """The worker-side entry point."""
+    shipped = _SHIPPED.setdefault(chunk.campaign, set())
+    _SHIPPED.move_to_end(chunk.campaign)
+    if len(_SHIPPED) > _SHIPPED_CAMPAIGNS:
+        _SHIPPED.popitem(last=False)
+    outcome = run_chunk(
         chunk.specs,
-        evidence,
-        _WORKER_CAMPAIGN["shipped"],
+        frozenset(chunk.evidence),
+        shipped,
         retry_crashed=chunk.retry_crashed,
         base_attempts=chunk.attempts,
     )
+    # The chunk's simulated machines are garbage cycles now; the heap
+    # inherited at fork is frozen, so this scans only what they left.
+    gc.collect()
+    return outcome
 
 
 def _failed_result(
@@ -298,6 +314,161 @@ def _describe(exc: Exception) -> str:
     return "".join(
         traceback.format_exception_only(type(exc), exc)
     ).strip()
+
+
+# ----------------------------------------------------------------------
+# The process-wide executor
+# ----------------------------------------------------------------------
+class _SharedExecutor:
+    """The one ``ProcessPoolExecutor`` every campaign in a process leases.
+
+    A lease runs from a campaign's first parallel wave to its close.
+    The executor is forked at the first submission after it is needed,
+    and terminated once no lease has been held for
+    :data:`IDLE_SHUTDOWN_SECONDS`.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._size = 0
+        self._leases: Dict[int, int] = {}  # campaign token -> workers
+        # Executors terminated on purpose (a timeout rebuild, a stop, an
+        # idle shutdown): a chunk that dies with one was not at fault.
+        self._killed: "weakref.WeakSet[ProcessPoolExecutor]" = (
+            weakref.WeakSet()
+        )
+        self._idle: Optional[threading.Timer] = None
+
+    def lease(self, token: int, workers: int) -> None:
+        with self._lock:
+            self._leases[token] = workers
+            if self._idle is not None:
+                self._idle.cancel()
+                self._idle = None
+
+    def release(self, token: int) -> None:
+        with self._lock:
+            self._leases.pop(token, None)
+            busy = self._leases or self._idle is not None
+            if busy or self._executor is None:
+                return
+            self._idle = threading.Timer(
+                IDLE_SHUTDOWN_SECONDS, self._shutdown_idle
+            )
+            self._idle.daemon = True
+            self._idle.start()
+
+    def held_by_others(self, token: int) -> bool:
+        """Whether a campaign other than ``token`` holds a lease."""
+        with self._lock:
+            return any(other != token for other in self._leases)
+
+    def submit(
+        self, chunk: WorkChunk, apps: Iterable[str]
+    ) -> Tuple[ProcessPoolExecutor, Future]:
+        """Submit one chunk to the live executor, forking one if needed."""
+        with self._lock:
+            while True:
+                size = max(self._leases.values(), default=1)
+                executor = self._executor
+                if executor is None or self._size < size:
+                    if executor is not None:
+                        # A wider campaign arrived: retire the narrower
+                        # executor; chunks already on it still finish.
+                        executor.shutdown(wait=False)
+                    _warm(apps)
+                    executor = ProcessPoolExecutor(
+                        max_workers=size, initializer=gc.freeze
+                    )
+                    self._executor, self._size = executor, size
+                try:
+                    return executor, executor.submit(_execute_chunk, chunk)
+                except BrokenProcessPool:
+                    # A worker died since the last submission: whoever
+                    # waits on its chunks counts the crash; fork anew.
+                    self._executor = None
+                    _terminate(executor)
+
+    def kill(
+        self, executor: ProcessPoolExecutor, on_purpose: bool = True
+    ) -> bool:
+        """Terminate ``executor``'s workers; True if it was the live one."""
+        with self._lock:
+            if on_purpose:
+                self._killed.add(executor)
+            live = executor is self._executor
+            if live:
+                self._executor = None
+        _terminate(executor)
+        return live
+
+    def killed(self, executor: ProcessPoolExecutor) -> bool:
+        with self._lock:
+            return executor in self._killed
+
+    def close(self) -> None:
+        """Terminate the live executor's workers now (idempotent)."""
+        with self._lock:
+            if self._idle is not None:
+                self._idle.cancel()
+                self._idle = None
+            executor = self._executor
+        if executor is not None:
+            self.kill(executor)
+
+    def _shutdown_idle(self) -> None:
+        with self._lock:
+            # A lease taken since this timer started cancelled it; one
+            # released again since then started a newer timer.
+            if self._leases or self._idle is not threading.current_thread():
+                return
+        self.close()
+
+
+def _warm(apps: Iterable[str]) -> None:
+    """Build apps before a fork, so every worker inherits them."""
+    for name in apps:
+        try:
+            app_for(name)
+        except Exception:  # noqa: BLE001 — a bad app name fails its
+            # own executions (crash + retry), not the whole campaign.
+            pass
+
+
+def _terminate(executor: ProcessPoolExecutor) -> None:
+    processes = getattr(executor, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            process.terminate()
+        except Exception:  # noqa: BLE001 — already-dead workers are fine
+            pass
+    executor.shutdown(wait=False, cancel_futures=True)
+
+
+_SHARED = _SharedExecutor()
+_CAMPAIGN_TOKENS = itertools.count(1)
+
+
+def _forget_shared_executor() -> None:
+    # A worker is forked while the submitting thread holds the lock; the
+    # child gets a fresh, unleased state, not a lock it can never take.
+    global _SHARED
+    _SHARED = _SharedExecutor()
+
+
+os.register_at_fork(after_in_child=_forget_shared_executor)
+
+
+def close_executor() -> None:
+    """Terminate the shared executor's workers now.
+
+    For hosts that must not leave idle workers behind for
+    :data:`IDLE_SHUTDOWN_SECONDS` (the service on shutdown), and for
+    callers that change what a freshly forked worker inherits.  Live
+    campaigns fork a new executor on their next submission.
+    """
+    _SHARED.close()
 
 
 # ----------------------------------------------------------------------
@@ -324,11 +495,13 @@ class _Pending:
 
 
 class FleetPool:
-    """Executes specs across persistent worker processes.
+    """One campaign's view of the shared worker processes.
 
     Create once per campaign; ``run``/``run_wave`` may be called many
-    times (one per wave) against the same executor.  Call :meth:`close`
-    (or use as a context manager) when the campaign ends.
+    times (one per wave).  The first parallel wave leases the
+    process-wide executor; call :meth:`close` (or use as a context
+    manager) when the campaign ends.  A pool collected unclosed
+    releases its lease then.
     """
 
     def __init__(
@@ -352,19 +525,22 @@ class FleetPool:
         self.executor_rebuilds = 0
         # Wall-clock of every crash retry (worker- or pool-side), ms.
         self.retry_wall_ms: List[float] = []
+        self._token = next(_CAMPAIGN_TOKENS)
+        # Set while this pool leases the shared executor; calling it
+        # releases the lease (once), as does collecting the pool.
+        self._lease: Optional[weakref.finalize] = None
+        # The executor this campaign last submitted to.
         self._executor: Optional[ProcessPoolExecutor] = None
         self._capacity = max(1, workers)
         self._hung_workers = 0
-        self._apps: Tuple[str, ...] = ()
-        self._evidence_base: FrozenSet[str] = frozenset()
-        self._evidence_delta: FrozenSet[str] = frozenset()
+        self._evidence: FrozenSet[str] = frozenset()
         self._evidence_epoch = 0
         self._context_registry: ContextTable = {}
         # The serial path's counterpart of a worker's shipped-set.
         self._inline_shipped: Set[str] = set()
         # Cooperative cancellation: set from any thread; the dispatch
-        # loop notices within one poll slice, terminates the workers,
-        # and raises CampaignCancelled.
+        # loop notices within one poll slice, abandons the wave's
+        # chunks, and raises CampaignCancelled.
         self._stop = threading.Event()
 
     # ------------------------------------------------------------------
@@ -375,52 +551,63 @@ class FleetPool:
 
         Safe to call from any thread (a service cancellation handler, a
         signal handler).  The wave currently running raises
-        :class:`CampaignCancelled` after terminating worker processes;
+        :class:`CampaignCancelled` after cancelling its chunks (and
+        terminating the workers, unless another campaign holds them);
         later ``run_wave`` calls raise immediately.
         """
         self._stop.set()
 
     def _check_stop(self) -> None:
         if self._stop.is_set():
-            self._dispose()
             raise CampaignCancelled("fleet pool stop requested")
 
+    def _abandon(self, in_flight: Iterable[tuple]) -> None:
+        """Drop this campaign's chunks and release its lease.
+
+        Queued chunks are cancelled and running ones' outcomes dropped.
+        The workers are terminated unless another campaign holds them,
+        so a lone stopped run still frees its processes at once.
+        """
+        for entry in in_flight:
+            entry[1].cancel()
+        lone = not _SHARED.held_by_others(self._token)
+        if lone and self._executor is not None:
+            _SHARED.kill(self._executor)
+        self.close()
+
     # ------------------------------------------------------------------
-    # Evidence broadcast (delta protocol)
+    # Evidence broadcast
     # ------------------------------------------------------------------
     @property
     def evidence_epoch(self) -> int:
         return self._evidence_epoch
 
     def set_evidence_base(self, signatures: Iterable[str]) -> None:
-        """Install the campaign-start snapshot (shipped to workers once).
+        """Install the campaign-start evidence snapshot.
 
-        Must happen before the first parallel wave — the base rides in
-        the executor initializer, so changing it afterwards would
-        desynchronise coordinator and workers.
+        Must happen before the first parallel wave: the epoch counts
+        merges from this base, so replacing it mid-campaign would
+        desynchronise the two.
         """
-        if self._executor is not None:
+        if self._lease is not None:
             raise RuntimeError(
                 "set_evidence_base() must be called before the first wave; "
                 "use advance_evidence() for signatures merged mid-campaign"
             )
-        self._evidence_base = frozenset(signatures)
+        self._evidence = frozenset(signatures)
 
     def advance_evidence(self, new_signatures: Iterable[str]) -> int:
         """Broadcast newly merged signatures; returns the new epoch.
 
         Only genuinely new signatures advance the epoch — a wave that
-        merged nothing leaves epoch and delta untouched, so chunk
-        payloads stay identical and workers skip nothing.
+        merged nothing leaves epoch and evidence untouched, so chunk
+        payloads stay identical.
         """
-        new = frozenset(new_signatures) - self._evidence_base - self._evidence_delta
+        new = frozenset(new_signatures) - self._evidence
         if new:
-            self._evidence_delta |= new
+            self._evidence |= new
             self._evidence_epoch += 1
         return self._evidence_epoch
-
-    def _full_evidence(self) -> FrozenSet[str]:
-        return self._evidence_base | self._evidence_delta
 
     # ------------------------------------------------------------------
     # Entry points
@@ -432,13 +619,15 @@ class FleetPool:
     def run_wave(self, specs: Iterable[ExecutionSpec]) -> WaveResult:
         """Execute one wave; results in spec order plus their fold."""
         specs = list(specs)
-        self._check_stop()
+        if self._stop.is_set():
+            self._abandon(())
+            raise CampaignCancelled("fleet pool stop requested")
         if not specs:
             return WaveResult([], PartialAggregate())
         if self.workers <= 1:
             outcome = run_chunk(
                 tuple(specs),
-                self._full_evidence(),
+                self._evidence,
                 self._inline_shipped,
                 retry_crashed=self.retry_crashed,
                 should_stop=self._stop.is_set,
@@ -452,8 +641,11 @@ class FleetPool:
         return self._run_parallel(specs)
 
     def close(self) -> None:
-        """Terminate the executor's worker processes (idempotent)."""
-        self._dispose()
+        """Release this campaign's lease on the workers (idempotent)."""
+        if self._lease is not None:
+            self._lease()
+            self._lease = None
+        self._forget_executor()
 
     def __enter__(self) -> "FleetPool":
         return self
@@ -465,96 +657,84 @@ class FleetPool:
     # Parallel path
     # ------------------------------------------------------------------
     def _run_parallel(self, specs: List[ExecutionSpec]) -> WaveResult:
-        self._apps = tuple(
-            sorted(set(self._apps) | {spec.app for spec in specs})
-        )
-        # Warm the app cache before forking so every worker inherits
-        # the same interned call sites (and nobody rebuilds a 57k-event
-        # schedule per process); spawn platforms re-warm in the
-        # initializer instead.
-        for name in self._apps:
-            try:
-                app_for(name)
-            except Exception:  # noqa: BLE001 — a bad app name fails its
-                # own executions (crash + retry), not the whole campaign.
-                pass
+        if self._lease is None:
+            _SHARED.lease(self._token, self.workers)
+            self._lease = weakref.finalize(self, _SHARED.release, self._token)
+            # Exit tears the workers down anyway; no thread may start then.
+            self._lease.atexit = False
+        apps = sorted({spec.app for spec in specs})
+        # Evidence only advances between waves, so every chunk of this
+        # wave (timeout and crash requeues included) carries the same
+        # set: worker scheduling cannot leak into detection outcomes.
+        evidence = tuple(sorted(self._evidence))
         size = self.chunk_size or max(1, math.ceil(len(specs) / self.workers))
         waiting: Deque[_Pending] = deque(
             _Pending(specs=tuple(specs[i : i + size]))
             for i in range(0, len(specs), size)
         )
-        in_flight: Deque[tuple] = deque()  # (_Pending, future, deadline)
+        # (_Pending, future, deadline, executor), oldest first.
+        in_flight: Deque[tuple] = deque()
         results: Dict[int, ExecutionResult] = {}
         partial = PartialAggregate()
-        executor = self._ensure_executor()
         try:
             while waiting or in_flight:
                 self._check_stop()
                 while waiting and len(in_flight) < self._capacity:
                     pending = waiting.popleft()
-                    chunk = self._build_chunk(pending)
+                    chunk = WorkChunk(
+                        specs=pending.specs,
+                        campaign=self._token,
+                        evidence=evidence,
+                        attempts=pending.attempts,
+                        retry_crashed=self.retry_crashed,
+                    )
                     deadline = (
                         time.monotonic()
                         + self.timeout_seconds * len(pending.specs)
                         if self.timeout_seconds is not None
                         else None
                     )
-                    in_flight.append(
-                        (pending, executor.submit(_execute_chunk, chunk), deadline)
-                    )
-                pending, future, deadline = in_flight.popleft()
+                    executor, future = _SHARED.submit(chunk, apps)
+                    self._executor = executor
+                    in_flight.append((pending, future, deadline, executor))
+                pending, future, deadline, executor = in_flight[0]
                 try:
                     outcome = self._await_result(future, deadline)
-                    self.crashes += outcome.crashes
-                    self.retries += outcome.retries
-                    self._ingest(outcome, results, partial)
-                except FutureTimeout:
-                    executor = self._on_timeout(
-                        pending, in_flight, waiting, results, partial, executor
-                    )
-                except BrokenProcessPool:
-                    # Every in-flight future died with the pool: drain them
-                    # all before rebuilding once, then resubmit — the
-                    # coordinator never falls back to executing inline.
-                    dead = [pending] + [entry[0] for entry in in_flight]
-                    in_flight.clear()
-                    executor = self._rebuild(executor)
-                    for lost in dead:
-                        self._requeue_crashed(lost, waiting, results, partial)
                 except (CampaignCancelled, KeyboardInterrupt):
                     raise
+                except FutureTimeout:
+                    in_flight.popleft()
+                    self._on_timeout(
+                        pending, executor, in_flight, waiting, results, partial
+                    )
+                except (BrokenProcessPool, CancelledError):
+                    in_flight.popleft()
+                    self._on_broken(
+                        pending, executor, in_flight, waiting, results, partial
+                    )
                 except Exception as exc:  # noqa: BLE001 — dispatch/pickling
                     # failure for this chunk; its specs get one pool retry.
+                    in_flight.popleft()
                     self._requeue_crashed(
                         pending, waiting, results, partial, _describe(exc)
                     )
+                else:
+                    in_flight.popleft()
+                    self.crashes += outcome.crashes
+                    self.retries += outcome.retries
+                    self._ingest(outcome, results, partial)
         except (CampaignCancelled, KeyboardInterrupt):
-            # Stop request or Ctrl-C mid-wave: the executor (and any
-            # worker process still running a chunk) must not outlive
-            # the wave — terminate everything before unwinding.
-            self._dispose()
+            # Stop request or Ctrl-C mid-wave: no chunk of this wave may
+            # outlive it — cancel or drop them all before unwinding.
+            self._abandon(in_flight)
             raise
         if self._hung_workers:
-            # Confirmed-hung workers are still burning a pool slot;
-            # disposing now frees them without counting as a rebuild —
-            # the next wave lazily builds a fresh executor.
-            self._dispose()
+            # Confirmed-hung workers are still burning slots of the
+            # shared executor; terminating it now frees them without
+            # counting as a rebuild — the next submission forks anew.
+            _SHARED.kill(self._executor)
+            self._forget_executor()
         return WaveResult([results[spec.index] for spec in specs], partial)
-
-    def _build_chunk(self, pending: _Pending) -> WorkChunk:
-        """One dispatchable chunk carrying the wave's evidence delta.
-
-        Evidence only advances between waves, so every chunk built
-        during a wave (including timeout/crash requeues) carries the
-        same delta — worker scheduling cannot leak into detection
-        outcomes.
-        """
-        return WorkChunk(
-            specs=pending.specs,
-            evidence_delta=tuple(sorted(self._evidence_delta)),
-            attempts=pending.attempts,
-            retry_crashed=self.retry_crashed,
-        )
 
     # Poll slice while waiting on a chunk future: long enough to stay
     # off the hot path, short enough that a stop request (cancel,
@@ -571,8 +751,7 @@ class FleetPool:
         exactly when the single blocking wait would have.
         """
         while True:
-            if self._stop.is_set():
-                raise CampaignCancelled("fleet pool stop requested")
+            self._check_stop()
             wait = self._WAIT_SLICE_SECONDS
             if deadline is not None:
                 remaining = deadline - time.monotonic()
@@ -592,12 +771,12 @@ class FleetPool:
     def _on_timeout(
         self,
         pending: _Pending,
+        executor: ProcessPoolExecutor,
         in_flight: Deque[tuple],
         waiting: Deque[_Pending],
         results: Dict[int, ExecutionResult],
         partial: PartialAggregate,
-        executor: ProcessPoolExecutor,
-    ) -> ProcessPoolExecutor:
+    ) -> None:
         if len(pending.specs) == 1:
             # Exact attribution: this spec hung.
             spec = pending.specs[0]
@@ -618,8 +797,9 @@ class FleetPool:
                 self._hung_workers += 1
                 self._capacity = max(0, self._capacity - 1)
                 if self._capacity > 0:
-                    return executor
-            return self._requeue_in_flight(in_flight, waiting, executor)
+                    return
+            self._rebuild(executor, in_flight, waiting)
+            return
         # A multi-spec chunk timed out: some spec in it hung, but which
         # one is unknowable without finishing — so the chunk's specs are
         # re-run as single-spec chunks (marked suspect) on a rebuilt
@@ -630,19 +810,47 @@ class FleetPool:
             waiting.appendleft(
                 _Pending(specs=(spec,), attempts=pending.attempts, suspect=True)
             )
-        return self._requeue_in_flight(in_flight, waiting, executor)
+        self._rebuild(executor, in_flight, waiting)
 
-    def _requeue_in_flight(
+    def _rebuild(
         self,
+        executor: ProcessPoolExecutor,
         in_flight: Deque[tuple],
         waiting: Deque[_Pending],
-        executor: ProcessPoolExecutor,
-    ) -> ProcessPoolExecutor:
-        """Rebuild the executor; in-flight chunks ride the new one."""
+    ) -> None:
+        """Kill a hung executor; in-flight chunks ride the next one."""
+        self.executor_rebuilds += 1
         for entry in reversed(in_flight):
             waiting.appendleft(entry[0])
         in_flight.clear()
-        return self._rebuild(executor)
+        _SHARED.kill(executor)
+        self._forget_executor()
+
+    def _on_broken(
+        self,
+        pending: _Pending,
+        executor: ProcessPoolExecutor,
+        in_flight: Deque[tuple],
+        waiting: Deque[_Pending],
+        results: Dict[int, ExecutionResult],
+        partial: PartialAggregate,
+    ) -> None:
+        if _SHARED.killed(executor):
+            # Another campaign's rebuild (or stop) terminated the workers
+            # under this chunk: run it again, same attempt, no crash.
+            waiting.appendleft(pending)
+            return
+        # The pool broke: every chunk in flight on it died with it.
+        # Drain them all, replace the executor once, then resubmit — the
+        # coordinator never falls back to executing inline.
+        dead = [pending] + [e[0] for e in in_flight if e[3] is executor]
+        alive = [e for e in in_flight if e[3] is not executor]
+        in_flight.clear()
+        in_flight.extend(alive)
+        if _SHARED.kill(executor, on_purpose=False):
+            self.executor_rebuilds += 1
+        for lost in dead:
+            self._requeue_crashed(lost, waiting, results, partial)
 
     def _requeue_crashed(
         self,
@@ -695,41 +903,14 @@ class FleetPool:
     # ------------------------------------------------------------------
     @property
     def executor(self) -> Optional[ProcessPoolExecutor]:
-        """The live executor, if any (stable across healthy waves)."""
+        """The shared executor this campaign last submitted to.
+
+        ``None`` before the first parallel wave and after :meth:`close`;
+        stable across healthy waves and back-to-back campaigns.
+        """
         return self._executor
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(self._apps, tuple(sorted(self._evidence_base))),
-            )
-            self._capacity = self.workers
-            self._hung_workers = 0
-        return self._executor
-
-    def _rebuild(self, executor: ProcessPoolExecutor) -> ProcessPoolExecutor:
-        """Kill a broken/hung pool and hand back a fresh one."""
-        self.executor_rebuilds += 1
-        self._terminate(executor)
-        self._executor = None
-        return self._ensure_executor()
-
-    def _dispose(self) -> None:
-        if self._executor is None:
-            return
-        self._terminate(self._executor)
+    def _forget_executor(self) -> None:
         self._executor = None
         self._capacity = max(1, self.workers)
         self._hung_workers = 0
-
-    @staticmethod
-    def _terminate(executor: ProcessPoolExecutor) -> None:
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:  # noqa: BLE001 — already-dead workers are fine
-                pass
-        executor.shutdown(wait=False, cancel_futures=True)

@@ -1,11 +1,11 @@
 """The fleet campaign runner.
 
 Ties the subsystem together: builds seeded :class:`ExecutionSpec`s,
-dispatches them in **waves** through one persistent :class:`FleetPool`,
+dispatches them in **waves** through one :class:`FleetPool`,
 folds each wave's pre-merged :class:`PartialAggregate` into the
 :class:`FleetAggregator`, merges uploaded evidence into the
-:class:`EvidenceStore` between waves (broadcasting only the *delta* to
-workers), and records telemetry.
+:class:`EvidenceStore` between waves (the next wave's chunks carry it
+to the workers), and records telemetry.
 
 Waves are the determinism contract.  Executions inside one wave share
 the evidence snapshot taken at the wave boundary; signatures uploaded
@@ -97,7 +97,7 @@ class FleetCampaign:
     :meth:`run_next_wave` to completion) and the campaign service
     (which interleaves waves of many campaigns over shared worker
     slots).  Construction validates everything fail-fast and builds the
-    persistent :class:`FleetPool`; the wave plan is fixed at
+    campaign's :class:`FleetPool`; the wave plan is fixed at
     construction from (executions, workers, wave_size, share_evidence)
     alone, so two campaigns with equal parameters run equal waves no
     matter who schedules them — the multi-tenant determinism contract.
@@ -183,8 +183,8 @@ class FleetCampaign:
         """Run one wave; ``None`` once the campaign is complete.
 
         Raises :class:`repro.errors.CampaignCancelled` if the pool was
-        stopped (via :meth:`cancel`) before or during the wave; worker
-        processes are already terminated when that propagates.
+        stopped (via :meth:`cancel`) before or during the wave; the
+        wave's chunks are already cancelled when that propagates.
         """
         if self._finished:
             raise RuntimeError("campaign already finished")
@@ -238,15 +238,15 @@ class FleetCampaign:
     def cancel(self) -> None:
         """Stop the campaign; safe from any thread.
 
-        The wave in flight (if any) terminates its worker processes and
-        raises :class:`CampaignCancelled` in whatever thread is driving
+        The wave in flight (if any) abandons its chunks and raises
+        :class:`CampaignCancelled` in whatever thread is driving
         it; the driver then calls :meth:`finish` with
         ``cancelled=True`` to drain telemetry.
         """
         self.pool.request_stop()
 
     def close(self) -> None:
-        """Terminate the worker pool (idempotent)."""
+        """Release the campaign's workers (idempotent)."""
         self.pool.close()
 
     def finish(self, cancelled: bool = False) -> FleetRunResult:
@@ -322,8 +322,9 @@ def run_fleet(
     the per-status deltas land in the metrics registry and event log.
 
     A stop request (Ctrl-C, or :meth:`FleetCampaign.cancel` from
-    another thread) terminates the worker processes, drains the
-    partial campaign's telemetry, and re-raises — nothing leaks.
+    another thread) abandons the wave's chunks (terminating the workers
+    unless another campaign holds them), drains the partial campaign's
+    telemetry, and re-raises — nothing leaks.
     """
     campaign = FleetCampaign(
         app,

@@ -98,16 +98,16 @@ class ExecutionResult:
 class WorkChunk:
     """One IPC round trip: several specs run serially in one worker.
 
-    The evidence broadcast is a **delta**: workers hold the snapshot
-    from campaign start (shipped once, via the executor initializer)
-    and the chunk carries only the signatures merged since then.  The
-    worker reconstructs the full wave-boundary set as ``base | delta``
-    — signatures are preloaded as a *set*, so the reconstruction is
-    byte-for-byte equivalent to shipping the whole sorted tuple.
+    A chunk is self-contained, so any worker of the shared executor can
+    run any campaign's chunk: it carries its campaign's token (the key
+    of the worker's shipped-frames memory) and the wave-boundary
+    evidence set — the campaign-start base plus every signature merged
+    since, a few signatures in practice.
     """
 
     specs: Tuple[ExecutionSpec, ...]
-    evidence_delta: Tuple[str, ...] = ()
+    campaign: int
+    evidence: Tuple[str, ...] = ()
     # Base attempt number: 2 when the chunk is a coordinator-side
     # resubmission of crashed specs (no further retry inside).
     attempts: int = 1

@@ -257,8 +257,8 @@ def run_oracle(
             wave = pool.run_wave(specs)
         finally:
             # The oracle's fleet work is one wave; closing here (not at
-            # campaign end) releases worker processes before the serial
-            # judging phase runs.
+            # campaign end) releases the lease on the shared workers, so
+            # they idle out if the serial judging phase runs long.
             pool.close()
         aggregator.merge_partial(wave.partial)
 

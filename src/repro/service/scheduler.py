@@ -1,11 +1,11 @@
 """The campaign scheduler: many tenants, one pool of worker slots.
 
 Each admitted job gets its own :class:`FleetCampaign` (its own
-persistent worker processes, evidence store, aggregator — the unit of
-determinism), but CPU concurrency is governed centrally: a campaign
-must lease ``workers`` slots from the shared :class:`WorkerSlots`
-before each wave and returns them the moment the wave (or its
-cancellation) unwinds.  Leasing is FIFO-fair, so two jobs with equal
+evidence store and aggregator — the unit of determinism — over the
+process's one warm worker pool), but CPU concurrency is governed
+centrally: a campaign must lease ``workers`` slots from the shared
+:class:`WorkerSlots` before each wave and returns them the moment the
+wave (or its cancellation) unwinds.  Leasing is FIFO-fair, so two jobs with equal
 worker counts strictly interleave waves instead of the first admitted
 one running to completion — and because a campaign's wave plan and RNG
 streams depend only on its submission, the interleaving (or any other

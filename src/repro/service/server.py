@@ -18,8 +18,9 @@ Routes::
          [&mode=poll][&timeout=]      mode=poll, a long-poll JSON batch
 
 Channels are job ids or ``firehose``.  Every connection is
-``Connection: close`` — one request per socket keeps the parser tiny
-and SSE streams run until the client hangs up.
+``Connection: close`` — one request per socket keeps the parser tiny.
+A job channel's SSE stream ends after the job's final ``job`` event;
+the firehose stream runs until the client hangs up.
 """
 
 from __future__ import annotations
@@ -32,8 +33,14 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
 from repro.errors import ServiceError
+from repro.fleet.pool import close_executor
 from repro.fleet.telemetry import JsonlEventLog
-from repro.service.queue import CampaignSubmission, JobQueue, STATE_QUEUED
+from repro.service.queue import (
+    FINAL_STATES,
+    STATE_QUEUED,
+    CampaignSubmission,
+    JobQueue,
+)
 from repro.service.scheduler import CampaignScheduler
 from repro.service.stream import FIREHOSE, EventBus, render_sse
 
@@ -94,6 +101,9 @@ class ReproService:
         """Graceful teardown: cancel jobs, drain events, close sockets."""
         self.bus.publish(FIREHOSE, "service", state="stopping")
         await self.scheduler.stop()
+        # Every job has settled: stop the workers now, not after the
+        # shared executor's idle delay.
+        close_executor()
         if self._scheduler_task is not None:
             self._scheduler_task.cancel()
             try:
@@ -400,6 +410,16 @@ class ReproService:
                 else:
                     writer.write(render_sse(event))
                 await writer.drain()
+                # A job channel says nothing after the job's final state;
+                # ending the stream there frees it as soon as the client
+                # has it, not at the next keep-alive after it hung up.
+                if (
+                    channel != FIREHOSE
+                    and event is not None
+                    and event.get("event") == "job"
+                    and event.get("state") in FINAL_STATES
+                ):
+                    return
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:

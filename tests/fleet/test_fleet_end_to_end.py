@@ -5,6 +5,7 @@ import json
 from repro.fleet import (
     EvidenceStore,
     JsonlEventLog,
+    close_executor,
     read_jsonl,
     run_fleet,
 )
@@ -118,6 +119,8 @@ def test_retry_wall_is_observed_and_does_not_block_other_specs():
 
             return app_for("libtiff").run(process)
 
+    # Workers see the fake app only if they fork after it is cached.
+    close_executor()
     registry._app_cache[("crash-once-e2e", 1.0)] = _CrashOnce()
     try:
         result = run_fleet("crash-once-e2e", executions=4, workers=2)

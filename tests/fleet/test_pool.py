@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.core import CSODConfig
-from repro.fleet.pool import FleetPool, execute_spec
+from repro.fleet.pool import FleetPool, close_executor, execute_spec
 from repro.fleet.specs import (
     OUTCOME_CRASH,
     OUTCOME_OK,
@@ -103,7 +103,10 @@ def test_retry_can_be_disabled():
 def test_timeout_marks_execution_not_campaign():
     # A timeout far below one execution's wall time: the execution is
     # recorded as timed out, and the campaign still returns a result
-    # for every spec.
+    # for every spec.  A warm worker can finish before the coordinator
+    # first looks, and a finished chunk is never a timeout, so the
+    # workers must be forked for this pool.
+    close_executor()
     pool = FleetPool(workers=2, timeout_seconds=1e-5)
     results = pool.run(specs_for("libtiff", 2))
     assert len(results) == 2
@@ -128,6 +131,8 @@ def test_hanging_spec_times_out_and_pool_recovers():
     # pool.
     from repro.workloads.buggy import registry
 
+    # Workers see the fake app only if they fork after it is cached.
+    close_executor()
     registry._app_cache[("hang-forever", 1.0)] = _HangingApp()
     try:
         pool = FleetPool(workers=2, timeout_seconds=2.0)
@@ -309,6 +314,8 @@ def test_crash_retry_runs_in_worker_not_coordinator(tmp_path):
     from repro.workloads.buggy import registry
 
     pid_path = tmp_path / "pids.txt"
+    # Workers see the fake app only if they fork after it is cached.
+    close_executor()
     registry._app_cache[("crash-once", 1.0)] = _CrashOnceApp(str(pid_path))
     try:
         with FleetPool(workers=2) as pool:

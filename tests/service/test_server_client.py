@@ -202,6 +202,31 @@ def test_sse_stream_delivers_events(client, service):
     assert "wave" in kinds and "result" in kinds and "job" in kinds
 
 
+def test_job_stream_ends_after_the_final_event():
+    # Regression: a job channel's stream outlived its job until a
+    # keep-alive write found the client gone (15-30 s later), so a busy
+    # server held a connection task and a bus subscription per recent
+    # job.  The stream now ends with the job's final event.
+    with ServiceThread(total_workers=2) as host:
+        client = ServiceClient(port=host.port)
+        for seed in range(3):
+            job = client.submit(
+                CampaignSubmission(app="gzip", executions=4, seed=seed)
+            )
+            events = list(client.stream_events(job["job_id"], timeout=10))
+            assert events[-1]["event"] == "job"
+            assert events[-1]["state"] == "completed"
+        service = host.service
+        deadline = time.monotonic() + 1.0
+        while service._connections or service.bus._subscribers:
+            assert time.monotonic() < deadline, (
+                f"{len(service._connections)} connections and "
+                f"{len(service.bus._subscribers)} subscribed channels "
+                f"outlived their jobs"
+            )
+            time.sleep(0.02)
+
+
 def test_events_validation(client):
     status, payload = client._request("GET", "/events?since=abc&mode=poll")
     assert status == 400 and "since" in payload["error"]
