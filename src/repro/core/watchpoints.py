@@ -56,9 +56,9 @@ class WatchedObject:
     # The probability the object was sampled with, frozen at
     # installation.  Only diagnostics read it: replacement ages the
     # live (already watch-halved) context probability instead
-    # (repro.core.policies.slot_probability), not §III-C2's frozen
-    # object probability — the deviation EXPERIMENTS.md's Table IV note
-    # covers.
+    # (repro.core.policies.slot_probability).  Ageing this frozen value
+    # moves both Table II and Table IV further from the paper, so it
+    # does not explain Table IV's watched-times overshoot.
     install_probability: float = 0.0
     slot_index: int = -1
     # One perf-event fd per alive thread the watchpoint is armed on.

@@ -16,13 +16,11 @@ propagates canary detections to later executions
 from repro.fleet.aggregate import (
     AggregatedReport,
     FleetAggregator,
-    PartialAggregate,
     render_fleet_report,
 )
 from repro.fleet.evidence_store import EvidenceStore, TemporaryEvidenceStore
 from repro.fleet.pool import (
     FleetPool,
-    WaveResult,
     close_executor,
     execute_spec,
     run_chunk,
@@ -36,7 +34,6 @@ from repro.fleet.runner import (
 from repro.fleet.specs import (
     ExecutionResult,
     ExecutionSpec,
-    LeanExecutionResult,
     ReportRecord,
     WorkChunk,
 )
@@ -61,13 +58,10 @@ __all__ = [
     "FleetRunResult",
     "Histogram",
     "JsonlEventLog",
-    "LeanExecutionResult",
     "MetricsRegistry",
-    "PartialAggregate",
     "ReportRecord",
     "TemporaryEvidenceStore",
     "WaveProgress",
-    "WaveResult",
     "WorkChunk",
     "close_executor",
     "execute_spec",

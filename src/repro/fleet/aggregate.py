@@ -11,130 +11,12 @@ the same statistic the paper's 1,000-execution protocol needs).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.campaign import wilson_interval
 from repro.experiments.tables import render_table
-from repro.fleet.specs import ContextTable, ExecutionResult, ReportRecord
-
-
-@dataclass
-class PartialAggregate:
-    """A worker's mergeable fold of one chunk of execution results.
-
-    Everything here is a sum, a min, or a set-union keyed by report
-    signature, so :meth:`merge` is associative *and* commutative:
-    however the coordinator splits specs into chunks and in whatever
-    order the chunk results land, the merged aggregate — and therefore
-    :meth:`FleetAggregator.to_dict` — is identical.  Frame strings for
-    a signature travel in :attr:`contexts` only the first time a worker
-    ships it, which keeps result pickles near-constant-size once the
-    campaign's bugs have been seen.
-    """
-
-    executions: int = 0
-    executions_ok: int = 0
-    executions_detected: int = 0
-    executions_detected_by_watchpoint: int = 0
-    raw_reports: int = 0
-    counts: Dict[str, int] = field(default_factory=dict)
-    # Distinct executions that raised each signature.
-    execution_hits: Dict[str, int] = field(default_factory=dict)
-    first_seen: Dict[str, int] = field(default_factory=dict)
-    # (app, seed) of the first-seen execution — with the index this
-    # recovers the originating ExecutionSpec, which bisection replays.
-    first_seen_spec: Dict[str, Tuple[str, int]] = field(default_factory=dict)
-    kinds: Dict[str, str] = field(default_factory=dict)
-    sources: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    contexts: ContextTable = field(default_factory=dict)
-    # Power-of-two wall-time buckets (ms); mergeable, unlike raw samples.
-    wall_ms_buckets: Dict[int, int] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    # Fold (worker side)
-    # ------------------------------------------------------------------
-    def observe(self, result: ExecutionResult) -> None:
-        """Fold one execution in — the mergeable mirror of
-        :meth:`FleetAggregator.add`."""
-        self.executions += 1
-        bucket = (
-            0
-            if result.wall_seconds <= 0
-            else 1 + int(math.log2(max(result.wall_seconds * 1e3, 1.0)))
-        )
-        self.wall_ms_buckets[bucket] = self.wall_ms_buckets.get(bucket, 0) + 1
-        if not result.ok:
-            return
-        self.executions_ok += 1
-        if result.detected:
-            self.executions_detected += 1
-        if result.detected_by_watchpoint:
-            self.executions_detected_by_watchpoint += 1
-        seen_this_execution = set()
-        for record in result.reports:
-            self.raw_reports += 1
-            signature = record.signature
-            if signature not in self.counts:
-                self.counts[signature] = 0
-                self.execution_hits[signature] = 0
-                self.first_seen[signature] = result.index
-                self.first_seen_spec[signature] = (result.app, result.seed)
-                self.kinds[signature] = record.kind
-                self.sources[signature] = {}
-                self.contexts[signature] = (
-                    record.allocation_context,
-                    record.access_context,
-                )
-            self.counts[signature] += 1
-            per_source = self.sources[signature]
-            per_source[record.source] = per_source.get(record.source, 0) + 1
-            if signature not in seen_this_execution:
-                self.execution_hits[signature] += 1
-                seen_this_execution.add(signature)
-            if result.index < self.first_seen[signature]:
-                self.first_seen[signature] = result.index
-                self.first_seen_spec[signature] = (result.app, result.seed)
-
-    # ------------------------------------------------------------------
-    # Merge (coordinator side)
-    # ------------------------------------------------------------------
-    def merge(self, other: "PartialAggregate") -> "PartialAggregate":
-        """Fold ``other`` in; returns self for chaining."""
-        self.executions += other.executions
-        self.executions_ok += other.executions_ok
-        self.executions_detected += other.executions_detected
-        self.executions_detected_by_watchpoint += (
-            other.executions_detected_by_watchpoint
-        )
-        self.raw_reports += other.raw_reports
-        for signature, count in other.counts.items():
-            self.counts[signature] = self.counts.get(signature, 0) + count
-        for signature, hits in other.execution_hits.items():
-            self.execution_hits[signature] = (
-                self.execution_hits.get(signature, 0) + hits
-            )
-        for signature, index in other.first_seen.items():
-            mine = self.first_seen.get(signature)
-            if mine is None or index < mine:
-                self.first_seen[signature] = index
-                spec = other.first_seen_spec.get(signature)
-                if spec is not None:
-                    self.first_seen_spec[signature] = spec
-        for signature, kind in other.kinds.items():
-            self.kinds.setdefault(signature, kind)
-        for signature, per_source in other.sources.items():
-            mine_sources = self.sources.setdefault(signature, {})
-            for source, count in per_source.items():
-                mine_sources[source] = mine_sources.get(source, 0) + count
-        for signature, frames in other.contexts.items():
-            self.contexts.setdefault(signature, frames)
-        for bucket, count in other.wall_ms_buckets.items():
-            self.wall_ms_buckets[bucket] = (
-                self.wall_ms_buckets.get(bucket, 0) + count
-            )
-        return self
+from repro.fleet.specs import ExecutionResult
 
 
 @dataclass
@@ -179,9 +61,6 @@ class FleetAggregator:
         self.executions_detected_by_watchpoint = 0
         self.raw_reports = 0
         self.failed: List[ExecutionResult] = []
-        # Merged wall-time buckets from partials (not part of to_dict:
-        # wall time is nondeterministic, the serialised view is not).
-        self.wall_ms_buckets: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Ingest
@@ -225,49 +104,6 @@ class FleetAggregator:
     def add_all(self, results) -> None:
         for result in results:
             self.add(result)
-
-    def merge_partial(self, partial: PartialAggregate) -> None:
-        """Fold one worker-side partial aggregate into the fleet view.
-
-        Equivalent to :meth:`add` over the executions the partial was
-        folded from — merging partials in any order produces the same
-        state as adding every result serially, which is what keeps
-        fixed-seed campaign output byte-identical at any worker count.
-        """
-        self.executions += partial.executions
-        self.executions_ok += partial.executions_ok
-        self.executions_detected += partial.executions_detected
-        self.executions_detected_by_watchpoint += (
-            partial.executions_detected_by_watchpoint
-        )
-        self.raw_reports += partial.raw_reports
-        for signature, count in partial.counts.items():
-            entry = self._reports.get(signature)
-            spec = partial.first_seen_spec.get(signature, ("", -1))
-            if entry is None:
-                frames = partial.contexts.get(signature, ((), ()))
-                entry = AggregatedReport(
-                    signature=signature,
-                    kind=partial.kinds[signature],
-                    first_seen=partial.first_seen[signature],
-                    first_seen_app=spec[0],
-                    first_seen_seed=spec[1],
-                    allocation_context=frames[0],
-                    access_context=frames[1],
-                )
-                self._reports[signature] = entry
-            elif partial.first_seen[signature] < entry.first_seen:
-                entry.first_seen = partial.first_seen[signature]
-                entry.first_seen_app = spec[0]
-                entry.first_seen_seed = spec[1]
-            entry.count += count
-            entry.executions += partial.execution_hits[signature]
-            for source, n in partial.sources[signature].items():
-                entry.sources[source] = entry.sources.get(source, 0) + n
-        for bucket, count in partial.wall_ms_buckets.items():
-            self.wall_ms_buckets[bucket] = (
-                self.wall_ms_buckets.get(bucket, 0) + count
-            )
 
     # ------------------------------------------------------------------
     # Views

@@ -25,15 +25,13 @@ The pool is built for campaign throughput:
   one pickle/IPC round trip and one config transfer amortise over many
   executions; inside a chunk the worker runs serially and returns one
   batched :class:`ChunkOutcome`.
-* **Campaign state rides in the chunk** — each chunk carries its
-  campaign's token and the wave's full evidence set (the campaign-start
-  base plus every signature merged since), so any worker can run any
-  campaign's chunk.  Workers remember, per recent campaign, which
-  signatures' frame strings they already shipped.
-* **Mergeable partial aggregation** — the worker folds its chunk into a
-  :class:`PartialAggregate` and ships signatures, not frame strings
-  (those travel once per novel signature); the coordinator rehydrates
-  full :class:`ExecutionResult`s from its context registry.
+* **Evidence rides in the chunk** — each chunk carries the wave's full
+  evidence set (the campaign-start base plus every signature merged
+  since), so any worker can run any campaign's chunk.
+* **One result type** — the worker answers with the
+  :class:`ExecutionResult`s it built, the same objects the inline path
+  returns; callers fold them with
+  :meth:`repro.fleet.aggregate.FleetAggregator.add`.
 * **Flat worker memory** — every execution leaves its simulated machine
   in reference cycles that only a full collection frees.  Workers
   freeze the heap they were forked with (``gc.freeze``) and collect
@@ -78,7 +76,7 @@ import threading
 import time
 import traceback
 import weakref
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import (
     CancelledError,
     Future,
@@ -95,25 +93,20 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
 from repro.core import CSODConfig, CSODRuntime
 from repro.core.sampling import context_signature
 from repro.errors import CampaignCancelled, InvalidFreeError
-from repro.fleet.aggregate import PartialAggregate
 from repro.fleet.specs import (
     OUTCOME_CRASH,
     OUTCOME_OK,
     OUTCOME_TIMEOUT,
-    ContextTable,
     ExecutionResult,
     ExecutionSpec,
-    LeanExecutionResult,
     ReportRecord,
     WorkChunk,
-    lean_from,
 )
 from repro.workloads.base import SimProcess
 from repro.workloads.buggy import app_for
@@ -124,12 +117,6 @@ DEFAULT_TIMEOUT_SECONDS = 60.0
 # terminates its workers: back-to-back campaigns reuse warm workers,
 # and a process done with the fleet has no idle children a second on.
 IDLE_SHUTDOWN_SECONDS = 1.0
-
-# How many campaigns' shipped-frames sets a worker remembers.  Forgetting
-# one only re-ships frame strings, which the coordinator merges
-# idempotently.
-_SHIPPED_CAMPAIGNS = 16
-_SHIPPED: "OrderedDict[int, Set[str]]" = OrderedDict()
 
 
 def execute_spec(spec: ExecutionSpec) -> ExecutionResult:
@@ -210,27 +197,21 @@ def _execute_one(
 class ChunkOutcome:
     """One worker's batched answer for one :class:`WorkChunk`."""
 
-    results: List[LeanExecutionResult] = field(default_factory=list)
-    partial: PartialAggregate = field(default_factory=PartialAggregate)
+    results: List[ExecutionResult] = field(default_factory=list)
     crashes: int = 0
     retries: int = 0
+    # Wall-clock of each in-chunk crash retry, ms.
+    retry_wall_ms: List[float] = field(default_factory=list)
 
 
 def run_chunk(
     specs: Tuple[ExecutionSpec, ...],
     evidence: FrozenSet[str],
-    shipped: Set[str],
     retry_crashed: bool = True,
     base_attempts: int = 1,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> ChunkOutcome:
     """Run a chunk of specs serially; the shared serial/worker core.
-
-    ``shipped`` is the caller's per-campaign memory of which report
-    signatures have already had their frame strings transferred —
-    contexts for those are stripped from the outcome (the coordinator
-    keeps a registry), so steady-state result payloads carry counters
-    and signatures only.
 
     ``should_stop`` gives the serial/inline path sub-wave cancellation:
     it is polled between specs and raises :class:`CampaignCancelled`
@@ -244,7 +225,6 @@ def run_chunk(
                 f"chunk stopped after {len(outcome.results)}/{len(specs)} "
                 f"executions"
             )
-        retry_wall_ms = 0.0
         try:
             result = _execute_one(spec, evidence)
             result.attempts = base_attempts
@@ -262,32 +242,22 @@ def run_chunk(
                     result = _failed_result(
                         spec, OUTCOME_CRASH, 2, _describe(second_exc)
                     )
-                retry_wall_ms = (time.perf_counter() - retry_started) * 1e3
+                outcome.retry_wall_ms.append(
+                    (time.perf_counter() - retry_started) * 1e3
+                )
             else:
                 result = _failed_result(
                     spec, OUTCOME_CRASH, base_attempts, _describe(first_exc)
                 )
-        outcome.partial.observe(result)
-        outcome.results.append(lean_from(result, retry_wall_ms=retry_wall_ms))
-    # Ship frame strings once per signature per campaign per worker.
-    for signature in list(outcome.partial.contexts):
-        if signature in shipped:
-            del outcome.partial.contexts[signature]
-        else:
-            shipped.add(signature)
+        outcome.results.append(result)
     return outcome
 
 
 def _execute_chunk(chunk: WorkChunk) -> ChunkOutcome:
     """The worker-side entry point."""
-    shipped = _SHIPPED.setdefault(chunk.campaign, set())
-    _SHIPPED.move_to_end(chunk.campaign)
-    if len(_SHIPPED) > _SHIPPED_CAMPAIGNS:
-        _SHIPPED.popitem(last=False)
     outcome = run_chunk(
         chunk.specs,
         frozenset(chunk.evidence),
-        shipped,
         retry_crashed=chunk.retry_crashed,
         base_attempts=chunk.attempts,
     )
@@ -475,14 +445,6 @@ def close_executor() -> None:
 # Coordinator
 # ----------------------------------------------------------------------
 @dataclass
-class WaveResult:
-    """Everything one wave produced, pre-folded."""
-
-    results: List[ExecutionResult]
-    partial: PartialAggregate
-
-
-@dataclass
 class _Pending:
     """A dispatchable unit of work, coordinator-side."""
 
@@ -497,8 +459,8 @@ class _Pending:
 class FleetPool:
     """One campaign's view of the shared worker processes.
 
-    Create once per campaign; ``run``/``run_wave`` may be called many
-    times (one per wave).  The first parallel wave leases the
+    Create once per campaign; :meth:`run_wave` may be called many times
+    (one per wave).  The first parallel wave leases the
     process-wide executor; call :meth:`close` (or use as a context
     manager) when the campaign ends.  A pool collected unclosed
     releases its lease then.
@@ -535,9 +497,6 @@ class FleetPool:
         self._hung_workers = 0
         self._evidence: FrozenSet[str] = frozenset()
         self._evidence_epoch = 0
-        self._context_registry: ContextTable = {}
-        # The serial path's counterpart of a worker's shipped-set.
-        self._inline_shipped: Set[str] = set()
         # Cooperative cancellation: set from any thread; the dispatch
         # loop notices within one poll slice, abandons the wave's
         # chunks, and raises CampaignCancelled.
@@ -612,32 +571,24 @@ class FleetPool:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def run(self, specs: Iterable[ExecutionSpec]) -> List[ExecutionResult]:
-        """Execute every spec; results come back in spec order."""
-        return self.run_wave(specs).results
-
-    def run_wave(self, specs: Iterable[ExecutionSpec]) -> WaveResult:
-        """Execute one wave; results in spec order plus their fold."""
+    def run_wave(self, specs: Iterable[ExecutionSpec]) -> List[ExecutionResult]:
+        """Execute one wave; results come back in spec order."""
         specs = list(specs)
         if self._stop.is_set():
             self._abandon(())
             raise CampaignCancelled("fleet pool stop requested")
         if not specs:
-            return WaveResult([], PartialAggregate())
+            return []
         if self.workers <= 1:
             outcome = run_chunk(
                 tuple(specs),
                 self._evidence,
-                self._inline_shipped,
                 retry_crashed=self.retry_crashed,
                 should_stop=self._stop.is_set,
             )
-            self.crashes += outcome.crashes
-            self.retries += outcome.retries
-            partial = PartialAggregate()
             results: Dict[int, ExecutionResult] = {}
-            self._ingest(outcome, results, partial)
-            return WaveResult([results[s.index] for s in specs], partial)
+            self._ingest(outcome, results)
+            return [results[s.index] for s in specs]
         return self._run_parallel(specs)
 
     def close(self) -> None:
@@ -656,7 +607,7 @@ class FleetPool:
     # ------------------------------------------------------------------
     # Parallel path
     # ------------------------------------------------------------------
-    def _run_parallel(self, specs: List[ExecutionSpec]) -> WaveResult:
+    def _run_parallel(self, specs: List[ExecutionSpec]) -> List[ExecutionResult]:
         if self._lease is None:
             _SHARED.lease(self._token, self.workers)
             self._lease = weakref.finalize(self, _SHARED.release, self._token)
@@ -675,7 +626,6 @@ class FleetPool:
         # (_Pending, future, deadline, executor), oldest first.
         in_flight: Deque[tuple] = deque()
         results: Dict[int, ExecutionResult] = {}
-        partial = PartialAggregate()
         try:
             while waiting or in_flight:
                 self._check_stop()
@@ -683,7 +633,6 @@ class FleetPool:
                     pending = waiting.popleft()
                     chunk = WorkChunk(
                         specs=pending.specs,
-                        campaign=self._token,
                         evidence=evidence,
                         attempts=pending.attempts,
                         retry_crashed=self.retry_crashed,
@@ -705,24 +654,22 @@ class FleetPool:
                 except FutureTimeout:
                     in_flight.popleft()
                     self._on_timeout(
-                        pending, executor, in_flight, waiting, results, partial
+                        pending, executor, in_flight, waiting, results
                     )
                 except (BrokenProcessPool, CancelledError):
                     in_flight.popleft()
                     self._on_broken(
-                        pending, executor, in_flight, waiting, results, partial
+                        pending, executor, in_flight, waiting, results
                     )
                 except Exception as exc:  # noqa: BLE001 — dispatch/pickling
                     # failure for this chunk; its specs get one pool retry.
                     in_flight.popleft()
                     self._requeue_crashed(
-                        pending, waiting, results, partial, _describe(exc)
+                        pending, waiting, results, _describe(exc)
                     )
                 else:
                     in_flight.popleft()
-                    self.crashes += outcome.crashes
-                    self.retries += outcome.retries
-                    self._ingest(outcome, results, partial)
+                    self._ingest(outcome, results)
         except (CampaignCancelled, KeyboardInterrupt):
             # Stop request or Ctrl-C mid-wave: no chunk of this wave may
             # outlive it — cancel or drop them all before unwinding.
@@ -734,7 +681,7 @@ class FleetPool:
             # counting as a rebuild — the next submission forks anew.
             _SHARED.kill(self._executor)
             self._forget_executor()
-        return WaveResult([results[spec.index] for spec in specs], partial)
+        return [results[spec.index] for spec in specs]
 
     # Poll slice while waiting on a chunk future: long enough to stay
     # off the hot path, short enough that a stop request (cancel,
@@ -775,20 +722,17 @@ class FleetPool:
         in_flight: Deque[tuple],
         waiting: Deque[_Pending],
         results: Dict[int, ExecutionResult],
-        partial: PartialAggregate,
     ) -> None:
         if len(pending.specs) == 1:
             # Exact attribution: this spec hung.
             spec = pending.specs[0]
             self.timeouts += 1
-            result = _failed_result(
+            results[spec.index] = _failed_result(
                 spec,
                 OUTCOME_TIMEOUT,
                 attempts=pending.attempts,
                 error=f"execution exceeded {self.timeout_seconds}s",
             )
-            results[spec.index] = result
-            partial.observe(result)
             if pending.suspect:
                 # Known hang, already paid for one rebuild: writing off
                 # the worker it wedged is cheaper than killing the pool
@@ -833,7 +777,6 @@ class FleetPool:
         in_flight: Deque[tuple],
         waiting: Deque[_Pending],
         results: Dict[int, ExecutionResult],
-        partial: PartialAggregate,
     ) -> None:
         if _SHARED.killed(executor):
             # Another campaign's rebuild (or stop) terminated the workers
@@ -850,14 +793,13 @@ class FleetPool:
         if _SHARED.kill(executor, on_purpose=False):
             self.executor_rebuilds += 1
         for lost in dead:
-            self._requeue_crashed(lost, waiting, results, partial)
+            self._requeue_crashed(lost, waiting, results)
 
     def _requeue_crashed(
         self,
         pending: _Pending,
         waiting: Deque[_Pending],
         results: Dict[int, ExecutionResult],
-        partial: PartialAggregate,
         error: str = "worker pool broke",
     ) -> None:
         """Resubmit a crashed chunk's specs to the pool (never inline)."""
@@ -867,36 +809,22 @@ class FleetPool:
                 self.retries += 1
                 waiting.append(_Pending(specs=(spec,), attempts=2))
             else:
-                result = _failed_result(
+                results[spec.index] = _failed_result(
                     spec, OUTCOME_CRASH, pending.attempts, error
                 )
-                results[spec.index] = result
-                partial.observe(result)
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
     def _ingest(
-        self,
-        outcome: ChunkOutcome,
-        results: Dict[int, ExecutionResult],
-        partial: PartialAggregate,
+        self, outcome: ChunkOutcome, results: Dict[int, ExecutionResult]
     ) -> None:
-        """Fold one chunk outcome into the wave, rehydrating results."""
-        self._context_registry.update(outcome.partial.contexts)
-        # Backfill stripped contexts so the partial handed to callers
-        # is self-contained even when this worker shipped them earlier.
-        for signature in outcome.partial.counts:
-            if signature not in outcome.partial.contexts:
-                frames = self._context_registry.get(signature)
-                if frames is not None:
-                    outcome.partial.contexts[signature] = frames
-        for lean in outcome.results:
-            if lean.retry_wall_ms:
-                self.retry_wall_ms.append(lean.retry_wall_ms)
-            result = lean.hydrate(self._context_registry)
+        """File one chunk's results and fault counters under the wave."""
+        self.crashes += outcome.crashes
+        self.retries += outcome.retries
+        self.retry_wall_ms.extend(outcome.retry_wall_ms)
+        for result in outcome.results:
             results[result.index] = result
-        partial.merge(outcome.partial)
 
     # ------------------------------------------------------------------
     # Executor lifecycle

@@ -2,7 +2,7 @@
 
 Ties the subsystem together: builds seeded :class:`ExecutionSpec`s,
 dispatches them in **waves** through one :class:`FleetPool`,
-folds each wave's pre-merged :class:`PartialAggregate` into the
+folds each wave's :class:`ExecutionResult`s into the
 :class:`FleetAggregator`, merges uploaded evidence into the
 :class:`EvidenceStore` between waves (the next wave's chunks carry it
 to the workers), and records telemetry.
@@ -203,18 +203,16 @@ class FleetCampaign:
             )
             for index in wave_indices
         ]
-        outcome = self.pool.run_wave(specs)
-        self.aggregator.merge_partial(outcome.partial)
-        for result in outcome.results:
+        results = self.pool.run_wave(specs)
+        for result in results:
             self.results.append(result)
-            if not result.ok:
-                self.aggregator.failed.append(result)
+            self.aggregator.add(result)
             _record_execution(self.metrics, result, self.event_log)
         merged = 0
         if self.store is not None:
             new = self.store.absorb(
                 signature
-                for result in outcome.results
+                for result in results
                 for signature in result.new_evidence
             )
             merged = len(new)

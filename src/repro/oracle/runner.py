@@ -243,7 +243,7 @@ def run_oracle(
     # --- fleet arms (the CSOD trio) through the pool ---------------------
     arms = fleet_selected
     aggregator = FleetAggregator()
-    wave = None
+    results: List[ExecutionResult] = []
     if arms:
         specs = _csod_specs(
             programs, configs, settings.executions_per_app, arms=arms
@@ -254,18 +254,17 @@ def run_oracle(
             chunk_size=settings.chunk_size,
         )
         try:
-            wave = pool.run_wave(specs)
+            results = pool.run_wave(specs)
         finally:
             # The oracle's fleet work is one wave; closing here (not at
             # campaign end) releases the lease on the shared workers, so
             # they idle out if the serial judging phase runs long.
             pool.close()
-        aggregator.merge_partial(wave.partial)
+        aggregator.add_all(results)
 
     def results_for(app_i: int, arm_j: int) -> List[ExecutionResult]:
         base = (app_i * len(arms) + arm_j) * settings.executions_per_app
-        picked = wave.results[base : base + settings.executions_per_app]
-        return [r for r in picked if r is not None]
+        return results[base : base + settings.executions_per_app]
 
     # --- judge every arm -------------------------------------------------
     csod_selected = ARM_CSOD in configs

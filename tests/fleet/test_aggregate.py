@@ -129,95 +129,6 @@ def test_render_fleet_report():
 
 
 # ----------------------------------------------------------------------
-# PartialAggregate: the mergeable worker-side fold
-# ----------------------------------------------------------------------
-def _partial_for(results):
-    from repro.fleet.aggregate import PartialAggregate
-
-    partial = PartialAggregate()
-    for one in results:
-        partial.observe(one)
-    return partial
-
-
-def _results_fixture():
-    return [
-        result(0, [record(), record("over-read|alloc:A|access:C")]),
-        result(1, [record()]),
-        result(2, []),
-        result(3, [record(source="exit-canary")]),
-        result(4, outcome=OUTCOME_CRASH, detected=False),
-        result(5, [record("over-read|alloc:A|access:C")]),
-    ]
-
-
-def test_merge_partial_equals_add():
-    # Folding worker-side and merging centrally must be byte-for-byte
-    # the same as adding every result serially.
-    results = _results_fixture()
-    serial = FleetAggregator()
-    for one in results:
-        serial.add(one)
-    merged = FleetAggregator()
-    merged.merge_partial(_partial_for(results[:2]))
-    merged.merge_partial(_partial_for(results[2:5]))
-    merged.merge_partial(_partial_for(results[5:]))
-    assert merged.to_dict() == serial.to_dict()
-    assert merged.executions == serial.executions
-    assert merged.executions_ok == serial.executions_ok
-
-
-def test_partial_merge_is_associative_and_commutative():
-    # However the coordinator chunks the specs and in whatever order
-    # the chunk results land, the aggregate cannot change.
-    import itertools
-
-    results = _results_fixture()
-    chunks = [results[:2], results[2:4], results[4:]]
-
-    def aggregate(order, pairing):
-        partials = [_partial_for(chunks[i]) for i in order]
-        if pairing == "left":
-            merged = partials[0].merge(partials[1]).merge(partials[2])
-        else:
-            partials[1].merge(partials[2])
-            merged = partials[0].merge(partials[1])
-        aggregator = FleetAggregator()
-        aggregator.merge_partial(merged)
-        return aggregator.to_dict()
-
-    views = [
-        aggregate(list(order), pairing)
-        for order in itertools.permutations(range(3))
-        for pairing in ("left", "right")
-    ]
-    assert all(view == views[0] for view in views)
-
-
-def test_partial_merge_identity():
-    from repro.fleet.aggregate import PartialAggregate
-
-    partial = _partial_for(_results_fixture())
-    before = FleetAggregator()
-    before.merge_partial(partial)
-    merged_with_empty = _partial_for(_results_fixture()).merge(
-        PartialAggregate()
-    )
-    after = FleetAggregator()
-    after.merge_partial(merged_with_empty)
-    assert before.to_dict() == after.to_dict()
-
-
-def test_partial_first_seen_takes_minimum():
-    late = _partial_for([result(7, [record()])])
-    early = _partial_for([result(2, [record()])])
-    late.merge(early)
-    aggregator = FleetAggregator()
-    aggregator.merge_partial(late)
-    assert aggregator.reports()[0].first_seen == 2
-
-
-# ----------------------------------------------------------------------
 # First-seen spec identities (the bisection starting point)
 # ----------------------------------------------------------------------
 def test_to_dict_reports_carry_first_seen_spec():
@@ -230,16 +141,6 @@ def test_to_dict_reports_carry_first_seen_spec():
         "seed": 1,
         "index": 1,
     }
-
-
-def test_first_seen_spec_follows_earliest_index_across_merges():
-    late = _partial_for([result(7, [record()])])
-    early = _partial_for([result(2, [record()])])
-    late.merge(early)
-    aggregator = FleetAggregator()
-    aggregator.merge_partial(late)
-    entry = aggregator.reports()[0]
-    assert entry.first_seen_spec() == {"app": "libtiff", "seed": 2, "index": 2}
 
 
 def test_first_seen_spec_per_signature():

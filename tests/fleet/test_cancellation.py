@@ -26,11 +26,11 @@ def _specs(count, app="gzip"):
     ]
 
 
-def _pids(pool):
+def _processes(pool):
     executor = pool.executor
     if executor is None:
         return []
-    return [process.pid for process in (executor._processes or {}).values()]
+    return list((executor._processes or {}).values())
 
 
 def test_serial_pool_stops_between_specs():
@@ -52,8 +52,8 @@ def test_stop_mid_wave_terminates_worker_processes(monkeypatch):
     pool = FleetPool(workers=2, chunk_size=1)
     # Warm the pool with a tiny wave so worker processes exist.
     pool.run_wave(_specs(2))
-    pids = _pids(pool)
-    assert pids, "expected live worker processes"
+    processes = _processes(pool)
+    assert processes, "expected live worker processes"
 
     # Request the stop once the bigger wave's first chunk is ingested,
     # so it lands mid-wave however fast executions are: the dispatch
@@ -70,29 +70,13 @@ def test_stop_mid_wave_terminates_worker_processes(monkeypatch):
 
     assert pool.executor is None  # disposed, not leaked
     deadline = time.monotonic() + 10.0
-    import os
-
-    def alive(pid):
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-        # Terminated children linger as zombies until reaped; a zombie
-        # is not running.  waitpid with WNOHANG reaps if it's ours.
-        try:
-            os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            pass
-        try:
-            with open(f"/proc/{pid}/stat") as handle:
-                return handle.read().split(")")[-1].split()[0] != "Z"
-        except OSError:
-            return False
-
-    while any(alive(pid) for pid in pids):
+    # is_alive() reaps through multiprocessing.  Reaping a worker with
+    # os.waitpid behind its back instead makes multiprocessing's own
+    # poll fail with ECHILD, and it then reports the dead worker alive
+    # (in active_children()) for the rest of the process.
+    while any(process.is_alive() for process in processes):
         if time.monotonic() > deadline:
+            pids = [process.pid for process in processes]
             pytest.fail(f"worker processes survived cancellation: {pids}")
         time.sleep(0.05)
 

@@ -41,11 +41,11 @@ def _alive(executor):
 def test_back_to_back_campaigns_reuse_warm_workers():
     close_executor()
     with FleetPool(workers=2) as first:
-        first.run(_specs("libtiff", 4))
+        first.run_wave(_specs("libtiff", 4))
         executor = first.executor
         pids = sorted(executor._processes)
     with FleetPool(workers=2) as second:
-        second.run(_specs("gzip", 4))
+        second.run_wave(_specs("gzip", 4))
         assert second.executor is executor
         assert sorted(executor._processes) == pids
         assert second.executor_rebuilds == 0
