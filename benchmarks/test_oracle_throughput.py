@@ -3,9 +3,12 @@
 The oracle is only useful at fleet scale if generating and judging a
 program is cheap next to executing it.  This bench times the two
 stages separately: pure generation (grammar draw + schedule build +
-manifest) and the full differential campaign (three CSOD arms through
-the fleet pool, ASan + guard pages inline, invariant probe per app),
-once with 1 worker and once with several, into ``BENCH_oracle.json``.
+manifest) and the full differential campaign (three CSOD arms as one
+fleet pool wave, then one judging task per app: the four inline arms,
+the invariant probe and the attribution and convergence re-runs),
+once with 1 worker, where the coordinator runs every task itself, and
+once with several, where the tasks run on the pool's workers, into
+``BENCH_oracle.json``.
 """
 
 import json

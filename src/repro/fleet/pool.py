@@ -10,11 +10,12 @@ The pool is built for campaign throughput:
 * **One warm executor per process** — every :class:`FleetPool` (fleet
   campaigns, ``run_oracle``, service jobs, the CLI) leases the same
   lazily created executor instead of forking its own.  It is created
-  on the first parallel wave, with as many workers as the widest live
-  campaign asked for, and a campaign keeps at most ``workers`` of its
-  chunks in flight.  Apps are warmed in the parent before a fork, so
-  workers inherit their schedules and interned call sites; a worker
-  meeting an app it was not forked with builds it by name.
+  on the first parallel wave (or map), with as many workers as the
+  widest live campaign asked for, and a campaign keeps at most
+  ``workers`` of its chunks (or calls) in flight.  Apps are warmed in
+  the parent before a fork, so workers inherit their schedules and
+  interned call sites; a worker meeting an app it was not forked with
+  builds it by name.
   :meth:`FleetPool.close` releases the lease, and the executor
   terminates its workers once no campaign has held it for
   :data:`IDLE_SHUTDOWN_SECONDS`.  It is rebuilt only when a worker
@@ -32,11 +33,16 @@ The pool is built for campaign throughput:
   :class:`ExecutionResult`s it built, the same objects the inline path
   returns; callers fold them with
   :meth:`repro.fleet.aggregate.FleetAggregator.add`.
+* **Calls as well as chunks** — :meth:`FleetPool.map` runs a
+  module-level function once per item on the same workers, through the
+  same submission path, lease and stop handling (``run_oracle`` judges
+  its programs this way).
 * **Flat worker memory** — every execution leaves its simulated machine
   in reference cycles that only a full collection frees.  Workers
   freeze the heap they were forked with (``gc.freeze``) and collect
-  after every chunk, so a long-lived worker stays as small as a fresh
-  one and each collection scans only what the chunk left behind.
+  after every chunk and every call, so a long-lived worker stays as
+  small as a fresh one and each collection scans only what the chunk
+  or call left behind.
 
 Failure policy, per execution:
 
@@ -61,8 +67,8 @@ Failure policy, per execution:
   the executor.
 
 ``workers <= 1`` runs every chunk inline through the *same* chunk
-executor, so serial callers share one code path and one set of
-semantics with the parallel fleet.
+executor, and every :meth:`FleetPool.map` call inline, so serial callers
+share one code path and one set of semantics with the parallel fleet.
 """
 
 from __future__ import annotations
@@ -94,9 +100,10 @@ from typing import (
     List,
     Optional,
     Tuple,
+    TypeVar,
 )
 
-from repro.core import CSODConfig, CSODRuntime
+from repro.core import CSODRuntime
 from repro.core.sampling import context_signature
 from repro.errors import CampaignCancelled, InvalidFreeError
 from repro.fleet.specs import (
@@ -112,6 +119,9 @@ from repro.workloads.base import SimProcess
 from repro.workloads.buggy import app_for
 
 DEFAULT_TIMEOUT_SECONDS = 60.0
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 # Seconds the shared executor may go without a lease before it
 # terminates its workers: back-to-back campaigns reuse warm workers,
@@ -254,7 +264,7 @@ def run_chunk(
 
 
 def _execute_chunk(chunk: WorkChunk) -> ChunkOutcome:
-    """The worker-side entry point."""
+    """The worker-side entry point of :meth:`FleetPool.run_wave`."""
     outcome = run_chunk(
         chunk.specs,
         frozenset(chunk.evidence),
@@ -265,6 +275,14 @@ def _execute_chunk(chunk: WorkChunk) -> ChunkOutcome:
     # inherited at fork is frozen, so this scans only what they left.
     gc.collect()
     return outcome
+
+
+def _execute_call(fn: Callable[[T], R], item: T) -> R:
+    """The worker-side entry point of :meth:`FleetPool.map`."""
+    result = fn(item)
+    # Whatever simulated machines the call built are garbage cycles now.
+    gc.collect()
+    return result
 
 
 def _failed_result(
@@ -292,7 +310,8 @@ def _describe(exc: Exception) -> str:
 class _SharedExecutor:
     """The one ``ProcessPoolExecutor`` every campaign in a process leases.
 
-    A lease runs from a campaign's first parallel wave to its close.
+    A lease runs from a campaign's first parallel wave (or map) to its
+    close.
     The executor is forked at the first submission after it is needed,
     and terminated once no lease has been held for
     :data:`IDLE_SHUTDOWN_SECONDS`.
@@ -335,9 +354,12 @@ class _SharedExecutor:
             return any(other != token for other in self._leases)
 
     def submit(
-        self, chunk: WorkChunk, apps: Iterable[str]
+        self, fn: Callable, args: tuple, apps: Iterable[str] = ()
     ) -> Tuple[ProcessPoolExecutor, Future]:
-        """Submit one chunk to the live executor, forking one if needed."""
+        """Submit ``fn(*args)`` to the live executor, forking one if needed.
+
+        ``apps`` are built before a fork, so the new workers inherit them.
+        """
         with self._lock:
             while True:
                 size = max(self._leases.values(), default=1)
@@ -353,7 +375,7 @@ class _SharedExecutor:
                     )
                     self._executor, self._size = executor, size
                 try:
-                    return executor, executor.submit(_execute_chunk, chunk)
+                    return executor, executor.submit(fn, *args)
                 except BrokenProcessPool:
                     # A worker died since the last submission: whoever
                     # waits on its chunks counts the crash; fork anew.
@@ -459,10 +481,10 @@ class _Pending:
 class FleetPool:
     """One campaign's view of the shared worker processes.
 
-    Create once per campaign; :meth:`run_wave` may be called many times
-    (one per wave).  The first parallel wave leases the
-    process-wide executor; call :meth:`close` (or use as a context
-    manager) when the campaign ends.  A pool collected unclosed
+    Create once per campaign; :meth:`run_wave` (one call per wave) and
+    :meth:`map` may be called many times.  The first parallel call
+    leases the process-wide executor; call :meth:`close` (or use as a
+    context manager) when the campaign ends.  A pool collected unclosed
     releases its lease then.
     """
 
@@ -591,6 +613,88 @@ class FleetPool:
             return [results[s.index] for s in specs]
         return self._run_parallel(specs)
 
+    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
+        """Call ``fn`` once per item on the workers; results in item order.
+
+        For per-item work that is not an execution spec (the oracle
+        judges each program this way).  ``fn`` must be a module-level
+        function and the items picklable.  At most ``workers`` calls
+        are in flight; ``workers <= 1`` calls ``fn`` inline.  There is
+        no deadline.  An exception ``fn`` raises propagates and
+        releases the lease.  A call whose worker died is resubmitted
+        once (when ``retry_crashed``), and a second death raises
+        ``BrokenProcessPool``: a call never falls back to the
+        coordinator.
+        """
+        items = list(items)
+        if self._stop.is_set():
+            self._abandon(())
+            raise CampaignCancelled("fleet pool stop requested")
+        if not items:
+            return []
+        if self.workers <= 1:
+            results = []
+            for item in items:
+                self._check_stop()
+                results.append(fn(item))
+            return results
+        self._hold_lease()
+        waiting: Deque[Tuple[int, int]] = deque(
+            (index, 1) for index in range(len(items))
+        )
+        # (index, future, attempts, executor), oldest first.
+        in_flight: Deque[tuple] = deque()
+        done: Dict[int, R] = {}
+        try:
+            while waiting or in_flight:
+                self._check_stop()
+                while waiting and len(in_flight) < self._capacity:
+                    index, attempts = waiting.popleft()
+                    executor, future = _SHARED.submit(
+                        _execute_call, (fn, items[index])
+                    )
+                    self._executor = executor
+                    in_flight.append((index, future, attempts, executor))
+                index, future, attempts, executor = in_flight[0]
+                try:
+                    done[index] = self._await_result(future, None)
+                except (BrokenProcessPool, CancelledError):
+                    in_flight.popleft()
+                    if _SHARED.killed(executor):
+                        # Another campaign's rebuild or stop terminated
+                        # the workers under it: same attempt, no crash.
+                        waiting.appendleft((index, attempts))
+                        continue
+                    # A worker died, and every call on its executor with
+                    # it: replace the executor once, resubmit them all.
+                    lost = [(index, attempts)] + [
+                        (e[0], e[2]) for e in in_flight if e[3] is executor
+                    ]
+                    alive = [e for e in in_flight if e[3] is not executor]
+                    in_flight.clear()
+                    in_flight.extend(alive)
+                    if _SHARED.kill(executor, on_purpose=False):
+                        self.executor_rebuilds += 1
+                    for lost_index, lost_attempts in lost:
+                        self.crashes += 1
+                        if not self.retry_crashed or lost_attempts > 1:
+                            raise
+                        self.retries += 1
+                        waiting.append((lost_index, lost_attempts + 1))
+                else:
+                    in_flight.popleft()
+        except (CampaignCancelled, KeyboardInterrupt):
+            self._abandon(in_flight)
+            raise
+        except BaseException:
+            # The calls still running finish on their own; their
+            # results are dropped with the lease.
+            for entry in in_flight:
+                entry[1].cancel()
+            self.close()
+            raise
+        return [done[index] for index in range(len(items))]
+
     def close(self) -> None:
         """Release this campaign's lease on the workers (idempotent)."""
         if self._lease is not None:
@@ -607,12 +711,15 @@ class FleetPool:
     # ------------------------------------------------------------------
     # Parallel path
     # ------------------------------------------------------------------
-    def _run_parallel(self, specs: List[ExecutionSpec]) -> List[ExecutionResult]:
+    def _hold_lease(self) -> None:
         if self._lease is None:
             _SHARED.lease(self._token, self.workers)
             self._lease = weakref.finalize(self, _SHARED.release, self._token)
             # Exit tears the workers down anyway; no thread may start then.
             self._lease.atexit = False
+
+    def _run_parallel(self, specs: List[ExecutionSpec]) -> List[ExecutionResult]:
+        self._hold_lease()
         apps = sorted({spec.app for spec in specs})
         # Evidence only advances between waves, so every chunk of this
         # wave (timeout and crash requeues included) carries the same
@@ -643,7 +750,9 @@ class FleetPool:
                         if self.timeout_seconds is not None
                         else None
                     )
-                    executor, future = _SHARED.submit(chunk, apps)
+                    executor, future = _SHARED.submit(
+                        _execute_chunk, (chunk,), apps
+                    )
                     self._executor = executor
                     in_flight.append((pending, future, deadline, executor))
                 pending, future, deadline, executor = in_flight[0]
@@ -688,8 +797,8 @@ class FleetPool:
     # Ctrl-C relayed from another thread) interrupts a wave promptly.
     _WAIT_SLICE_SECONDS = 0.05
 
-    def _await_result(self, future, deadline: Optional[float]) -> ChunkOutcome:
-        """Wait for one chunk, honouring both deadline and stop requests.
+    def _await_result(self, future: Future, deadline: Optional[float]):
+        """Wait for one future, honouring both deadline and stop requests.
 
         Equivalent to ``future.result(timeout=remaining)`` except the
         wait is sliced so :meth:`request_stop` is noticed within

@@ -1,11 +1,13 @@
 """The differential harness: run one generated program, judge reports.
 
 CSOD arms execute through the fleet pool (the runner dispatches them as
-ordinary :class:`ExecutionSpec`s); the baseline arms (ASan, guard
-pages, GWP-ASan, DoubleTake) run inline here — in oracle mode each is
-deterministic, so one execution per program decides them.  Either way,
-every report is judged against the program's
-:class:`~repro.oracle.grammar.GroundTruth`:
+ordinary :class:`ExecutionSpec`s, and the coordinator classifies their
+results here); the baseline arms (ASan, guard pages, GWP-ASan,
+DoubleTake) run in :func:`observe_app`, which the runner's per-program
+judging task calls on a pool worker (in the coordinator at
+``workers <= 1``) — in oracle mode each is deterministic, so one
+execution per program decides them.  Either way, every report is judged
+against the program's :class:`~repro.oracle.grammar.GroundTruth`:
 
 * a report whose **allocation context** contains the victim's
   allocation-site marker (and whose kind matches the injected access)

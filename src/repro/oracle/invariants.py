@@ -2,8 +2,9 @@
 
 The differential verdicts say *whether* CSOD caught a defect; these
 probes say whether it behaved like the paper's design while doing so.
-They run inline (never in a fleet worker) because they instrument the
-live runtime:
+Each probe builds and instruments a runtime of its own, so it runs
+wherever the oracle judges the program (a fleet worker, or the
+coordinator at ``workers <= 1``):
 
 * **Watchpoint discipline** — after every install/remove, the number of
   logically watched objects never exceeds the four usable debug
@@ -107,7 +108,7 @@ def probe_invariants(
     evidence: Tuple[str, ...] = (),
     victim_marker: Optional[str] = None,
 ) -> InvariantReport:
-    """One instrumented inline execution under CSOD."""
+    """One instrumented execution, on a CSOD runtime of its own."""
     config = config or CSODConfig()
     # The spies below monkeypatch individual unit methods
     # (sampling.on_allocation, wmu.try_watch, ...).  The batched hot path

@@ -8,15 +8,19 @@
 2. **Fan out** — every program runs ``executions_per_app`` times under
    each selected CSOD arm (near-FIFO with evidence, random replacement
    with evidence, watchpoints-only) through one :class:`FleetPool`
-   wave, so the aggregate is worker-count-invariant.  The inline
-   baselines (ASan, guard pages, GWP-ASan, DoubleTake) are
-   deterministic and run once each.  ``--arms`` restricts the matrix
-   to a subset of registered detector arms.
-3. **Judge** — every report is classified against the program's
-   manifest; CSOD invariants are probed on an instrumented inline
-   execution per program; all-miss sampled defects are attributed
-   (sampling vs. logic) by a pinned re-run; detections are re-run with
-   their evidence to check §V-A2 convergence.
+   wave, so the aggregate is worker-count-invariant.  ``--arms``
+   restricts the matrix to a subset of registered detector arms.
+3. **Judge** — the coordinator classifies every CSOD report against
+   the program's manifest, which decides what each program's re-runs
+   are.  Then :func:`judge_program` runs once per program on the same
+   pool's workers (:meth:`FleetPool.map`; inline at ``workers <= 1``):
+   the inline baselines (ASan, guard pages, GWP-ASan, DoubleTake),
+   deterministic and run once each; the CSOD invariant probe on an
+   instrumented execution; a pinned re-run per sampled arm that missed
+   everywhere, attributing the miss to sampling or logic; and a re-run
+   of the evidence arm's first detection with its evidence, checking
+   §V-A2 convergence.  Judgements come back in program order, and the
+   coordinator explains mismatches and emits telemetry in that order.
 4. **Shrink** — with ``shrink > 0``, the first ``shrink`` mismatched
    programs that produced CSOD reports are reduced to minimal repros
    via the triage bisector.
@@ -37,7 +41,7 @@ from repro.detectors import resolve_arms
 from repro.errors import ReproError
 from repro.fleet.aggregate import FleetAggregator
 from repro.fleet.pool import DEFAULT_TIMEOUT_SECONDS, FleetPool
-from repro.fleet.specs import ExecutionResult, ExecutionSpec
+from repro.fleet.specs import ExecutionSpec
 from repro.oracle.generator import OracleProgram, generate
 from repro.oracle.grammar import (
     ALL_DEFECTS,
@@ -47,6 +51,7 @@ from repro.oracle.grammar import (
 )
 from repro.oracle.harness import (
     AppObservations,
+    ArmObservation,
     Mismatch,
     classify_csod_results,
     find_mismatch,
@@ -179,6 +184,64 @@ class OracleRun:
     scorecard: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class JudgingTask:
+    """What one program's judging needs beyond the fleet wave."""
+
+    program: OracleProgram
+    inline_arms: Tuple[str, ...]
+    # The evidence arm's config when it is selected (None otherwise):
+    # the invariant probe and the convergence re-run use it.
+    csod_config: Optional[CSODConfig]
+    # (arm, config) of every sampled-capability arm that missed on
+    # every fleet execution: each gets a pinned attribution re-run.
+    attribute: Tuple[Tuple[str, CSODConfig], ...]
+    # The evidence arm's first detection's new evidence; empty when it
+    # detected nothing with evidence, and then nothing is re-run.
+    converge_on: Tuple[str, ...]
+
+
+@dataclass
+class ProgramJudgement:
+    """What :func:`judge_program` found for one program."""
+
+    observations: AppObservations  # the inline arms only
+    probe: Optional[InvariantReport]
+    attributions: Dict[str, str]  # arm -> sampling | logic
+    converged: Optional[bool]  # None when nothing was re-run
+
+
+def judge_program(task: JudgingTask) -> ProgramJudgement:
+    """Judge one program: inline arms, invariant probe and re-runs.
+
+    Module-level so a pool worker can run it.  Each step builds its own
+    simulated process, so no state passes between programs.  The steps
+    are looked up as this module's globals, so wrappers installed on
+    them before the pool forks (the e2e tracer's) still see every call.
+    """
+    program = task.program
+    seed = program.base_seed
+    observations = observe_app(program, seed, arms=task.inline_arms)
+    probe = None
+    if task.csod_config is not None:
+        probe = probe_invariants(
+            program.name,
+            seed,
+            config=task.csod_config,
+            victim_marker=program.truth.victim_marker,
+        )
+    attributions = {
+        arm: attribute_fn(program, config, seed)
+        for arm, config in task.attribute
+    }
+    converged = None
+    if task.converge_on:
+        converged = evidence_converges(
+            program.name, seed, task.converge_on, config=task.csod_config
+        )
+    return ProgramJudgement(observations, probe, attributions, converged)
+
+
 def _csod_specs(
     programs: Sequence[OracleProgram],
     configs: Mapping[str, CSODConfig],
@@ -240,85 +303,80 @@ def run_oracle(
     else:
         programs = list(programs)
 
-    # --- fleet arms (the CSOD trio) through the pool ---------------------
+    # --- fleet arms (the CSOD trio) through the pool, then judging ------
     arms = fleet_selected
+    csod_config = configs.get(ARM_CSOD)
     aggregator = FleetAggregator()
-    results: List[ExecutionResult] = []
-    if arms:
-        specs = _csod_specs(
-            programs, configs, settings.executions_per_app, arms=arms
+    with FleetPool(
+        workers=settings.workers,
+        timeout_seconds=settings.timeout_seconds,
+        chunk_size=settings.chunk_size,
+    ) as pool:
+        results = pool.run_wave(
+            _csod_specs(programs, configs, settings.executions_per_app, arms)
         )
-        pool = FleetPool(
-            workers=settings.workers,
-            timeout_seconds=settings.timeout_seconds,
-            chunk_size=settings.chunk_size,
-        )
-        try:
-            results = pool.run_wave(specs)
-        finally:
-            # The oracle's fleet work is one wave; closing here (not at
-            # campaign end) releases the lease on the shared workers, so
-            # they idle out if the serial judging phase runs long.
-            pool.close()
         aggregator.add_all(results)
 
-    def results_for(app_i: int, arm_j: int) -> List[ExecutionResult]:
-        base = (app_i * len(arms) + arm_j) * settings.executions_per_app
-        return results[base : base + settings.executions_per_app]
+        # Classifying the wave decides what each program's judging task
+        # must re-run; the tasks then run on the same leased workers.
+        classified: List[Dict[str, ArmObservation]] = []
+        tasks: List[JudgingTask] = []
+        n = settings.executions_per_app
+        for app_i, program in enumerate(programs):
+            base = app_i * len(arms) * n
+            by_arm = {
+                arm: results[base + arm_j * n : base + (arm_j + 1) * n]
+                for arm_j, arm in enumerate(arms)
+            }
+            fleet_obs = {
+                arm: classify_csod_results(program, arm, by_arm[arm])
+                for arm in arms
+            }
+            classified.append(fleet_obs)
+            tasks.append(
+                JudgingTask(
+                    program=program,
+                    inline_arms=inline_selected,
+                    csod_config=csod_config,
+                    attribute=tuple(
+                        (arm, configs[arm])
+                        for arm in arms
+                        if program.truth.capability(arm) == CAP_SAMPLED
+                        and not fleet_obs[arm].detected
+                    ),
+                    converge_on=next(
+                        (
+                            tuple(r.new_evidence)
+                            for r in by_arm.get(ARM_CSOD, ())
+                            if r.detected and r.new_evidence
+                        ),
+                        (),
+                    ),
+                )
+            )
+        judged = pool.map(judge_program, tasks)
 
-    # --- judge every arm -------------------------------------------------
-    csod_selected = ARM_CSOD in configs
+    # --- fold the judgements in program order ---------------------------
     observations: Dict[str, AppObservations] = {}
     invariant_reports: List[InvariantReport] = []
     fn_attributions: Dict[str, str] = {}
     convergence: Dict[str, bool] = {}
     mismatches: List[Mismatch] = []
     detected_arms: Dict[str, set] = {}
-    for app_i, program in enumerate(programs):
-        obs = observe_app(program, program.base_seed, arms=inline_selected)
-        for arm_j, arm in enumerate(arms):
-            obs.arms[arm] = classify_csod_results(
-                program, arm, results_for(app_i, arm_j)
-            )
+    for program, fleet_obs, judgement in zip(programs, classified, judged):
+        obs = judgement.observations
+        obs.arms.update(fleet_obs)
         observations[program.name] = obs
         detected_arms[program.name] = {
             arm for arm in selected if obs.arms[arm].detected
         }
-
-        # CSOD invariant probe (one instrumented inline execution).
-        probe = None
-        if csod_selected:
-            probe = probe_invariants(
-                program.name,
-                program.base_seed,
-                config=configs[ARM_CSOD],
-                victim_marker=program.truth.victim_marker,
-            )
+        probe = judgement.probe
+        if probe is not None:
             invariant_reports.append(probe)
-
-        # FN attribution: sampled-capability arms that missed everywhere.
-        for arm in arms:
-            capability = program.truth.capability(arm)
-            if capability == CAP_SAMPLED and not obs.arms[arm].detected:
-                fn_attributions[f"{program.name}|{arm}"] = attribute_fn(
-                    program, configs[arm], program.base_seed
-                )
-
-        # Evidence convergence (§V-A2) on the evidence arm's detections.
-        if csod_selected:
-            detecting = [
-                r
-                for r in results_for(app_i, arms.index(ARM_CSOD))
-                if r.detected and r.new_evidence
-            ]
-            if detecting:
-                first = detecting[0]
-                convergence[program.name] = evidence_converges(
-                    program.name,
-                    program.base_seed,
-                    tuple(first.new_evidence),
-                    config=configs[ARM_CSOD],
-                )
+        for arm, attribution in judgement.attributions.items():
+            fn_attributions[f"{program.name}|{arm}"] = attribution
+        if judgement.converged is not None:
+            convergence[program.name] = judgement.converged
 
         mismatch = find_mismatch(program, obs)
         if mismatch is not None:
@@ -346,12 +404,12 @@ def run_oracle(
 
     # --- shrink mismatches ----------------------------------------------
     shrunk: List[MinimalRepro] = []
-    if settings.shrink > 0 and csod_selected:
+    if settings.shrink > 0 and csod_config is not None:
         for mismatch in mismatches:
             if len(shrunk) >= settings.shrink:
                 break
             repro = shrink_app_mismatch(
-                mismatch.app, aggregator.reports(), configs[ARM_CSOD]
+                mismatch.app, aggregator.reports(), csod_config
             )
             if repro is not None:
                 shrunk.append(repro)

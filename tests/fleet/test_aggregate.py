@@ -1,7 +1,5 @@
 """Fleet aggregation: dedup, first-seen, Wilson statistics."""
 
-import pytest
-
 from repro.experiments.campaign import wilson_interval
 from repro.fleet.aggregate import FleetAggregator, render_fleet_report
 from repro.fleet.specs import (

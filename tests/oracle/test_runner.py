@@ -1,11 +1,15 @@
 """The fleet-scale campaign: conformance, determinism, attribution."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ReproError
 from repro.oracle import OracleSettings, render_scorecard, run_oracle
+from repro.oracle.adversarial import lower, solve_target
 from repro.oracle.grammar import ALL_DEFECTS
 from repro.oracle.runner import defect_sequence
+from repro.triage import BugDatabase
 
 SETTINGS = OracleSettings(
     budget=12, seed=7, workers=1, executions_per_app=2
@@ -143,3 +147,50 @@ def test_telemetry_records_every_app(campaign):
     kinds = [e["event"] for e in events]
     assert kinds.count("oracle_app") == SETTINGS.budget
     assert kinds[-1] == "oracle_scorecard"
+
+
+def _judged(workers, settings=SETTINGS, programs=None):
+    """Every view of one campaign that judging feeds, at ``workers``."""
+    events = []
+    db = BugDatabase()
+    run = run_oracle(
+        dataclasses.replace(settings, workers=workers),
+        telemetry=events.append,
+        bug_db=db,
+        programs=programs,
+    )
+    return {
+        "scorecard": render_scorecard(run.scorecard),
+        "telemetry": events,
+        "invariant_reports": run.invariant_reports,
+        # Lists, so the order the judgements were folded in counts too.
+        "fn_attributions": list(run.fn_attributions.items()),
+        "convergence": list(run.convergence.items()),
+        "bug_db": db.to_dict(),
+    }
+
+
+def test_judging_is_worker_count_invariant():
+    serial = _judged(1)
+    # The re-runs this compares did happen.
+    assert serial["fn_attributions"] and serial["convergence"]
+    parallel = _judged(2)
+    for view, value in serial.items():
+        assert parallel[view] == value, view
+
+
+def test_program_overrides_judge_identically_at_two_workers():
+    # Solver-built corners, lowered the way ``repro adversarial`` does;
+    # workers rebuild their apps from the ``adv:`` names.
+    programs = [
+        lower(solve_target(0, target))
+        for target in ("floor-pin", "watch-exhaust")
+    ]
+    settings = OracleSettings(budget=len(programs), executions_per_app=2)
+    serial = _judged(1, settings, programs)
+    assert [event["app"] for event in serial["telemetry"][:-1]] == [
+        program.name for program in programs
+    ]
+    parallel = _judged(2, settings, programs)
+    for view, value in serial.items():
+        assert parallel[view] == value, view
