@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from repro.core.config import CSODConfig
 from repro.core.policies import SLOTS, choose_slot, next_pointer
 from repro.core.rng import PerThreadRNG
-from repro.core.sampling import allocate, effective, halve, pin, revive
+from repro.core.sampling import allocate, effective, halve, observe, revive
 from repro.workloads.base import BuggyAppSpec, SyntheticBuggyApp
 
 # The live main thread's tid: the stream every abstract draw consumes.
@@ -120,9 +120,7 @@ class AbstractDetector:
                 detected = self._victim_watched(victim_index)
                 if detected:
                     # A real trap pins the context (§IV-B persistence).
-                    victim = self._contexts[0]
-                    victim.overflow_observed = True
-                    pin(victim)
+                    observe(self._contexts[0])
         return detected
 
     def _victim_watched(self, victim_index: int) -> bool:

@@ -2,11 +2,10 @@
 
 In evidence-based mode every heap object is wrapped in the Fig. 5
 layout: a 32-byte header before the object and a random 8-byte canary
-immediately after it.  Over-writes that escape the four watchpoints
-still corrupt the canary; the corruption is discovered at deallocation
-(or at exit, for leaked/crashed objects), the context's probability is
-boosted to 100%, and — with persistence — the *next* execution watches
-that context from its very first allocation.
+immediately after it.  This unit implants both and checks one object
+with :func:`repro.core.evidence.corrupted`; what follows a corrupted
+object — the report, the 100% boost, the exit sweep and persistence —
+is written once in :mod:`repro.core.evidence`.
 
 The unit also keeps the live-object registry the exit-time sweep needs,
 which is the in-simulation counterpart of the metadata that costs CSOD
@@ -23,11 +22,11 @@ view for callers that want one (sweep reports, the oracle, tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.core.evidence import corrupted
 from repro.core.rng import PerThreadRNG
 from repro.core.sampling import ContextRecord
-from repro.errors import CSODError
 from repro.heap import layout
 from repro.heap.interpose import RawHeap
 from repro.machine.machine import Machine
@@ -156,21 +155,14 @@ class CanaryManagementUnit:
         )
 
     def check_slot(self, slot: int) -> bool:
-        """Verify one occupied slot's canary; returns corrupted?"""
+        """Verify one occupied slot (:func:`~repro.core.evidence.corrupted`);
+        returns corrupted?"""
         self._ledger.record(EVENT_CANARY_CHECK, nanos_each=CANARY_CHECK_COST_NS)
-        memory = self._machine.memory
-        object_address = self._slot_addr[slot]
-        words = layout.read_header_words(memory, object_address)
-        if words[3] != layout.HEADER_IDENTIFIER:
-            # A corrupted identifier means the *previous* object overran
-            # into our header — itself evidence of an overflow there.
-            self.corruption_count += 1
-            return True
-        canary = memory.read_word(object_address + self._slot_size[slot])
-        if canary != self.canary_value:
-            self.corruption_count += 1
-            return True
-        return False
+        memory, size = self._machine.memory, self._slot_size[slot]
+        if not corrupted(memory, self._slot_addr[slot], size, self.canary_value):
+            return False
+        self.corruption_count += 1
+        return True
 
     def resize_slot(self, slot: int, new_size: int) -> None:
         """Resize an occupied slot in place (realloc's shrink path).
@@ -194,38 +186,9 @@ class CanaryManagementUnit:
         self._slot_record[slot] = None
         self._free_slots.append(slot)
 
-    # ------------------------------------------------------------------
-    # Checking
-    # ------------------------------------------------------------------
-    def check_object(self, object_address: int) -> Tuple[LiveObject, bool]:
-        """Verify one live object's canary; returns (entry, corrupted)."""
-        slot = self._addr_slot.get(object_address)
-        if slot is None:
-            raise CSODError(
-                f"object {object_address:#x} is not a live CSOD object"
-            )
-        corrupted = self.check_slot(slot)
-        return self.slot_view(slot), corrupted
-
-    def release(self, object_address: int) -> LiveObject:
-        """Drop an object from the live registry (after its free)."""
-        slot = self._addr_slot.get(object_address)
-        if slot is None:
-            raise CSODError(
-                f"object {object_address:#x} is not a live CSOD object"
-            )
-        entry = self.slot_view(slot)
-        self.release_slot(slot)
-        return entry
-
-    def sweep_live(self) -> List[LiveObject]:
-        """Check every live object (exit-time sweep); returns corrupted ones."""
-        corrupted = []
-        for address in list(self._addr_slot):
-            entry, bad = self.check_object(address)
-            if bad:
-                corrupted.append(entry)
-        return corrupted
+    def live_slots(self) -> List[int]:
+        """Every occupied slot, in registry order (the exit sweep's)."""
+        return list(self._addr_slot.values())
 
     def lookup(self, object_address: int) -> Optional[LiveObject]:
         slot = self._addr_slot.get(object_address)

@@ -11,10 +11,13 @@ work per interposed call collapses:
 * every per-rule call is inlined into one flat body per driver — the
   sampler rules are inlined copies of :mod:`repro.core.sampling`'s spec
   functions, the free-slot scan is an unrolled
-  :func:`repro.core.policies.free_slot`, and
-  ``tests/core/test_fastpath_spec.py`` checks both against their specs
-  after every step (a replacement still goes through
-  ``WatchpointManagementUnit.try_watch``);
+  :func:`repro.core.policies.free_slot`, the free's corruption test is
+  a page-direct read of :func:`repro.core.evidence.corrupted`'s two
+  words, and ``tests/core/test_fastpath_spec.py`` checks all three
+  against their specs after every step (a replacement still goes
+  through ``WatchpointManagementUnit.try_watch``; a corrupted free's
+  boost and report, and the test itself outside the hot region, call
+  :mod:`repro.core.evidence`);
 * runs of ledger records with no observation point between them are
   charged as precompiled
   :class:`~repro.machine.syscall_cost.CostBundle`\\ s, tallied into the
@@ -65,12 +68,8 @@ from struct import error as _struct_error
 from repro.callstack.backtrace import PEEK_COST_NS
 from repro.callstack.contexts import ContextKey
 from repro.core.canary import CANARY_CHECK_COST_NS, CANARY_SET_COST_NS
+from repro.core.evidence import corrupted as is_corrupted, report_at_free
 from repro.core.monitor import AllocDeallocMonitoringUnit
-from repro.core.reporting import (
-    KIND_OVER_WRITE,
-    OverflowReport,
-    SOURCE_FREE_CANARY,
-)
 from repro.core.rng import RNG_DRAW_COST_NS, _UNIFORM_SCALE
 from repro.core.context_key import LOOKUP_COST_NS
 from repro.core.sampling import revive_period_ns, throttle_window_ns
@@ -338,8 +337,6 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
         pages_get = pages.get
         w_words = mem.write_words
         w_word = mem.write_word
-        r_words = mem.read_words
-        r_word = mem.read_word
         pack4 = _WORD_STRUCTS[4].pack_into
         pack1 = _PACK_WORD.pack_into
         unpack1 = _PACK_WORD.unpack_from
@@ -381,7 +378,6 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
         # Thread objects are never removed from the registry (exit only
         # marks them dead), so fds' tids always resolve directly.
         registry = wmu._threads._threads
-        boost = sampling.boost_to_certain
         sink = self._sink
 
         streams_get = self._streams.get
@@ -913,12 +909,10 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
             size = slot_size[slot]
             real = slot_real[slot]
             canary_address = address + size
-            # Canary verification, inline.  Only the header identifier
-            # word and the canary word decide corruption; read them
-            # straight out of the page bytearrays when in the hot
-            # region.  A corrupted identifier means the *previous*
-            # object overran into our header — itself evidence of an
-            # overflow here.
+            # The corruption test, read straight out of the page
+            # bytearrays when both words sit in the hot region (the
+            # spec's test, ``evidence.corrupted``, otherwise): the
+            # header identifier word, then the canary word.
             ident_address = address - 8  # header word 3 (the identifier)
             if (
                 mem._hot_start <= address - hdr_size
@@ -944,10 +938,7 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
                     )
                     corrupted = value != canary_value
             else:
-                words = r_words(address - hdr_size, 4)
-                corrupted = words[3] != identifier or (
-                    r_word(canary_address) != canary_value
-                )
+                corrupted = is_corrupted(mem, address, size, canary_value)
             if not corrupted:
                 # Remove syscalls, watch-remove marker, canary check, and
                 # libc-free all fuse: nothing observes the clock in
@@ -1019,19 +1010,8 @@ class FastAllocDealloc(AllocDeallocMonitoringUnit):
                 charge_bundle(_remove_bundle_for(removed_fds))
             ledger_record(EVENT_CANARY_CHECK, nanos_each=CANARY_CHECK_COST_NS)
             canary.corruption_count += 1
-            record = slot_record[slot]
-            boost(record)
-            sink(
-                OverflowReport(
-                    kind=KIND_OVER_WRITE,
-                    source=SOURCE_FREE_CANARY,
-                    fault_address=canary_address,
-                    object_address=address,
-                    object_size=size,
-                    thread_id=thread.tid,
-                    time_ns=clock.now_ns,
-                    allocation_context=record.context,
-                )
+            report_at_free(
+                sink, slot_record[slot], address, size, thread.tid, clock.now_ns
             )
             del addr_slot[address]
             slot_record[slot] = None

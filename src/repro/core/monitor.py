@@ -18,23 +18,17 @@ context to 100% immediately (§IV-B).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.canary import CanaryManagementUnit
 from repro.core.config import CSODConfig
-from repro.core.reporting import (
-    KIND_OVER_WRITE,
-    OverflowReport,
-    SOURCE_FREE_CANARY,
-)
+from repro.core.evidence import report_at_free
+from repro.core.reporting import ReportSink
 from repro.core.rng import PerThreadRNG
 from repro.core.sampling import SamplingManagementUnit
 from repro.core.watchpoints import WatchpointManagementUnit
 from repro.heap.interpose import RawHeap
-from repro.heap.layout import CSOD_HEADER_SIZE
 from repro.machine.threads import SimThread
-
-ReportSink = Callable[[OverflowReport], None]
 
 
 class AllocDeallocMonitoringUnit:
@@ -120,29 +114,22 @@ class AllocDeallocMonitoringUnit:
         if not self._config.evidence_enabled:
             self._raw.free(thread, address)
             return
-        if self._canary.lookup(address) is None:
+        canary = self._canary
+        slot = canary.slot_of(address)
+        if slot is None:
             # Not a CSOD-wrapped object: allocated before interposition
             # was enabled (or by a bypassing allocator).  The real
             # runtime's identifier check falls through to the underlying
             # free; crashing here would take the application down.
             self._raw.free(thread, address)
             return
-        entry, corrupted = self._canary.check_object(address)
-        if corrupted:
-            self._sampling.boost_to_certain(entry.record)
-            self._sink(
-                OverflowReport(
-                    kind=KIND_OVER_WRITE,
-                    source=SOURCE_FREE_CANARY,
-                    fault_address=address + entry.object_size,
-                    object_address=address,
-                    object_size=entry.object_size,
-                    thread_id=thread.tid,
-                    time_ns=self._clock.now_ns,
-                    allocation_context=entry.record.context,
-                )
+        entry = canary.slot_view(slot)
+        if canary.check_slot(slot):
+            report_at_free(
+                self._sink, entry.record, address, entry.object_size,
+                thread.tid, self._clock.now_ns,
             )
-        self._canary.release(address)
+        canary.release_slot(slot)
         self._raw.free(thread, entry.real_object_ptr)
 
     # ------------------------------------------------------------------
@@ -167,28 +154,20 @@ class AllocDeallocMonitoringUnit:
             self.free(thread, address)
             return 0
         if self._config.evidence_enabled:
-            entry = self._canary.lookup(address)
+            canary = self._canary
+            slot = canary.slot_of(address)
+            entry = None if slot is None else canary.slot_view(slot)
             if entry is not None and new_size <= entry.object_size:
-                slot = self._canary.slot_of(address)
                 # The shrink abandons the old canary word; verify it
                 # first so evidence of an earlier over-write is not
                 # silently erased by the resize.
-                if self._canary.check_slot(slot):
-                    self._sampling.boost_to_certain(entry.record)
-                    self._sink(
-                        OverflowReport(
-                            kind=KIND_OVER_WRITE,
-                            source=SOURCE_FREE_CANARY,
-                            fault_address=address + entry.object_size,
-                            object_address=address,
-                            object_size=entry.object_size,
-                            thread_id=thread.tid,
-                            time_ns=self._clock.now_ns,
-                            allocation_context=entry.record.context,
-                        )
+                if canary.check_slot(slot):
+                    report_at_free(
+                        self._sink, entry.record, address, entry.object_size,
+                        thread.tid, self._clock.now_ns,
                     )
                 self._wmu.on_deallocation(address)
-                self._canary.resize_slot(slot, new_size)
+                canary.resize_slot(slot, new_size)
                 self._consider_watching(thread, address, new_size, entry.record)
                 return address
         old_size = self.usable_size(address)

@@ -11,7 +11,7 @@ exactly the behaviour of §III-D2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.callstack.contexts import CallingContext
 from repro.callstack.frames import Frame
@@ -182,3 +182,7 @@ class OverflowReport:
             f"(object {self.object_address:#x}, {self.object_size}B, "
             f"thread {self.thread_id})"
         )
+
+
+# Where a unit hands each report it builds (the runtime's report list).
+ReportSink = Callable[[OverflowReport], None]

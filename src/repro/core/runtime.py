@@ -18,6 +18,7 @@ from repro.callstack.contexts import ContextInterner
 from repro.core.canary import CanaryManagementUnit
 from repro.core.config import CSODConfig, HOTPATH_BATCHED
 from repro.core.context_key import ContextHashTable
+from repro.core.evidence import load_persisted
 from repro.core.fastpath import FastAllocDealloc
 from repro.core.monitor import AllocDeallocMonitoringUnit
 from repro.core.reporting import (
@@ -29,7 +30,7 @@ from repro.core.reporting import (
 from repro.core.rng import PerThreadRNG
 from repro.core.sampling import SamplingManagementUnit
 from repro.core.signal_unit import SignalHandlingUnit
-from repro.core.termination import TerminationHandlingUnit, load_persisted
+from repro.core.termination import TerminationHandlingUnit
 from repro.core.watchpoints import WatchpointManagementUnit
 from repro.heap.interpose import LibraryInterposer
 from repro.machine.machine import Machine
@@ -92,7 +93,6 @@ class CSODRuntime:
         self.signal_unit = SignalHandlingUnit(
             machine.signals,
             self.wmu,
-            self.sampling,
             self.backtracer,
             machine.clock,
             self.reports.append,
@@ -113,8 +113,7 @@ class CSODRuntime:
             # contexts start at 100% and are watched from the first
             # allocation onward.
             persisted = load_persisted(self.config.persistence_path)
-            if persisted:
-                self.sampling.preload_known_bad(persisted)
+            self.sampling.preload_known_bad(persisted)
         # The batched driver covers the full (evidence + watchpoints)
         # configuration; reduced configurations use the legacy unit
         # regardless of the hotpath flag.

@@ -15,7 +15,8 @@ unit adapts online:
 * **reviving** (§IV-A) — floor-bound contexts are randomly boosted back
   to 0.01% after a period, partially handling input-dependent bugs;
 * **evidence boost** (§IV-B) — a context with observed overflow evidence
-  is pinned at 100%.
+  is pinned at 100% (:func:`observe`); what counts as evidence is
+  ``repro.core.evidence``'s spec, which builds on this module.
 
 Each rule is written exactly once, below, as a function that updates in
 place any object carrying the five sampler fields (``probability``,
@@ -133,6 +134,16 @@ def pin(state) -> None:
     state.probability = 1.0
     state.throttled_until_ns = 0
     state.floor_since_ns = -1
+
+
+def observe(record) -> None:
+    """Evidence observed (§IV-B): flag the context and pin it for good.
+
+    A flagged context is never degraded again, and its signature joins
+    the persisted set (``repro.core.evidence``).
+    """
+    record.overflow_observed = True
+    pin(record)
 
 
 def throttled(state, now_ns: int) -> bool:
@@ -297,11 +308,6 @@ class SamplingManagementUnit:
         if not record.overflow_observed:
             halve(record, self._config)
 
-    def boost_to_certain(self, record: ContextRecord) -> None:
-        """Evidence observed: pin at 100% (§IV-B)."""
-        record.overflow_observed = True
-        pin(record)
-
     def effective_probability(self, record: ContextRecord) -> float:
         """The probability a draw is made against, honouring throttles."""
         return effective(
@@ -316,8 +322,7 @@ class SamplingManagementUnit:
             key=key, context=context, probability=self._config.initial_probability
         )
         if context_signature(context) in self._known_bad_signatures:
-            record.overflow_observed = True
-            pin(record)
+            observe(record)
         return record
 
     def _update_throttle(self, record: ContextRecord) -> None:

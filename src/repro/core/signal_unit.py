@@ -11,22 +11,21 @@ allocation context stored with the watchpoint.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Set, Tuple
 
 from repro.callstack.backtrace import Backtracer
 from repro.core.reporting import (
     KIND_OVER_READ,
     KIND_OVER_WRITE,
     OverflowReport,
+    ReportSink,
     SOURCE_WATCHPOINT,
 )
-from repro.core.sampling import SamplingManagementUnit
+from repro.core.sampling import observe
 from repro.core.watchpoints import WatchedObject, WatchpointManagementUnit
 from repro.machine.cpu import AccessKind
 from repro.machine.signals import SIGTRAP, SigInfo, SignalTable
 from repro.machine.threads import SimThread
-
-ReportSink = Callable[[OverflowReport], None]
 
 
 class SignalHandlingUnit:
@@ -36,14 +35,12 @@ class SignalHandlingUnit:
         self,
         signals: SignalTable,
         wmu: WatchpointManagementUnit,
-        sampling: SamplingManagementUnit,
         backtracer: Backtracer,
         clock,
         sink: ReportSink,
     ):
         self._signals = signals
         self._wmu = wmu
-        self._sampling = sampling
         self._backtracer = backtracer
         self._clock = clock
         self._sink = sink
@@ -80,7 +77,7 @@ class SignalHandlingUnit:
         # Observed overflows pin the context at 100% and mark it for
         # persistence — "all allocation calling contexts observed to
         # have overflows are written to persistent storage" (§IV-B).
-        self._sampling.boost_to_certain(watched.record)
+        observe(watched.record)
         if dedup_key in self._reported:
             return
         self._reported.add(dedup_key)

@@ -11,27 +11,22 @@ Three responsibilities:
   written to a file, and future executions preload it with probability
   100%, which is what makes over-write detection *certain* by the second
   run (§V-A2).
+
+The sweep's order, its reports and the file are
+:mod:`repro.core.evidence`'s; this unit registers the exit and crash
+hooks that run them.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Callable, List, Optional, Set
+from typing import List, Optional
 
-from repro.core.canary import CanaryManagementUnit, LiveObject
-from repro.core.reporting import (
-    KIND_OVER_WRITE,
-    OverflowReport,
-    SOURCE_EXIT_CANARY,
-)
-from repro.core.sampling import SamplingManagementUnit, context_signature
+from repro.core import evidence
+from repro.core.canary import CanaryManagementUnit
+from repro.core.reporting import OverflowReport, ReportSink
+from repro.core.sampling import SamplingManagementUnit
 from repro.machine.signals import SIGABRT, SIGSEGV, SigInfo, SignalTable
 from repro.machine.threads import SimThread
-
-ReportSink = Callable[[OverflowReport], None]
-
-_PERSIST_VERSION = 1
 
 
 class TerminationHandlingUnit:
@@ -67,78 +62,18 @@ class TerminationHandlingUnit:
         if self._exit_ran:
             return []
         self._exit_ran = True
-        reports = self._sweep()
-        self.persist()
-        return reports
+        return self._sweep()
 
     def _on_fatal_signal(self, signo: int, info: SigInfo, thread: SimThread) -> None:
         self.crash_sweeps += 1
         self._sweep()
-        self.persist()
         # Returning lets the default fatal disposition proceed — CSOD
         # observes the crash, it does not recover from it.
 
     def _sweep(self) -> List[OverflowReport]:
-        reports = []
-        for entry in self._canary.sweep_live():
-            self._sampling.boost_to_certain(entry.record)
-            report = self._evidence_report(entry)
-            reports.append(report)
-            self._sink(report)
-        return reports
+        return evidence.sweep(self._canary, self._clock, self._sink, self.persist)
 
-    def _evidence_report(self, entry: LiveObject) -> OverflowReport:
-        return OverflowReport(
-            kind=KIND_OVER_WRITE,  # only writes can corrupt a canary
-            source=SOURCE_EXIT_CANARY,
-            fault_address=entry.object_address + entry.object_size,
-            object_address=entry.object_address,
-            object_size=entry.object_size,
-            thread_id=-1,
-            time_ns=self._clock.now_ns,
-            allocation_context=entry.record.context,
-        )
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
     def persist(self) -> int:
-        """Write every overflow-observed context signature to disk.
-
-        I/O failures are swallowed (returning -1): CSOD runs inside
-        arbitrary production processes and must never turn a full disk
-        or a read-only mount into an application crash at exit.
-        """
-        if self._persistence_path is None:
-            return 0
-        signatures = sorted(
-            context_signature(record.context)
-            for record in self._sampling.records()
-            if record.overflow_observed
-        )
-        existing = load_persisted(self._persistence_path)
-        merged = sorted(existing | set(signatures))
-        payload = {"version": _PERSIST_VERSION, "contexts": merged}
-        tmp_path = self._persistence_path + ".tmp"
-        try:
-            with open(tmp_path, "w") as handle:
-                json.dump(payload, handle, indent=1)
-            os.replace(tmp_path, self._persistence_path)
-        except OSError:
-            return -1
-        return len(merged)
-
-
-def load_persisted(path: Optional[str]) -> Set[str]:
-    """Signatures recorded by previous executions (empty if none)."""
-    if path is None or not os.path.exists(path):
-        return set()
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return set()
-    if payload.get("version") != _PERSIST_VERSION:
-        return set()
-    contexts = payload.get("contexts", [])
-    return {s for s in contexts if isinstance(s, str)}
+        """Merge every overflow-observed context signature into the
+        persistence file (:func:`repro.core.evidence.persist`)."""
+        return evidence.persist(self._persistence_path, self._sampling.records())

@@ -7,8 +7,9 @@ context's signature, the coordinator merges it here, and every
 execution dispatched afterwards preloads the merged set — so the whole
 fleet converges after *one* detection anywhere, not one per process.
 
-The on-disk format is exactly the termination unit's persistence file
-(``{"version": 1, "contexts": [...]}``), so a store file can be handed
+The on-disk format is the one persisted document of
+:mod:`repro.core.evidence` (``{"version": 1, "contexts": [...]}``),
+read and written by its functions, so a store file can be handed
 straight to ``CSODConfig(persistence_path=...)`` and vice versa; writes
 are atomic (write-temp + rename), and only the coordinator writes, so
 workers can never race on it.
@@ -17,12 +18,11 @@ workers can never race on it.
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import tempfile
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.termination import _PERSIST_VERSION, load_persisted
+from repro.core.evidence import load_persisted, write_persisted
 
 
 class EvidenceStore:
@@ -125,14 +125,7 @@ class EvidenceStore:
     def _flush(self) -> None:
         if self.path is None:
             return
-        payload = {
-            "version": _PERSIST_VERSION,
-            "contexts": self._sorted,
-        }
-        tmp_path = self.path + ".tmp"
-        with open(tmp_path, "w") as handle:
-            json.dump(payload, handle, indent=1)
-        os.replace(tmp_path, self.path)
+        write_persisted(self.path, self._sorted)
         self._stamp = self._stat_stamp()
 
 

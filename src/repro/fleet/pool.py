@@ -84,10 +84,12 @@ import traceback
 import weakref
 from collections import deque
 from concurrent.futures import (
+    FIRST_COMPLETED,
     CancelledError,
     Future,
     ProcessPoolExecutor,
     TimeoutError as FutureTimeout,
+    wait as wait_futures,
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -104,7 +106,7 @@ from typing import (
 )
 
 from repro.core import CSODRuntime
-from repro.core.sampling import context_signature
+from repro.core.evidence import observed_signatures
 from repro.errors import CampaignCancelled, InvalidFreeError
 from repro.fleet.specs import (
     OUTCOME_CRASH,
@@ -166,13 +168,7 @@ def _execute_one(
         runtime.diagnose_invalid_free(process.main_thread, exc.address)
     runtime.shutdown()
     stats = runtime.stats()
-    new_evidence = tuple(
-        sorted(
-            context_signature(record.context)
-            for record in runtime.sampling.records()
-            if record.overflow_observed
-        )
-    )
+    new_evidence = observed_signatures(runtime.sampling.records())
     reports = [
         ReportRecord(
             signature=report.signature(),
@@ -642,7 +638,7 @@ class FleetPool:
         waiting: Deque[Tuple[int, int]] = deque(
             (index, 1) for index in range(len(items))
         )
-        # (index, future, attempts, executor), oldest first.
+        # ((index, attempts), future, no deadline, executor), oldest first.
         in_flight: Deque[tuple] = deque()
         done: Dict[int, R] = {}
         try:
@@ -654,12 +650,13 @@ class FleetPool:
                         _execute_call, (fn, items[index])
                     )
                     self._executor = executor
-                    in_flight.append((index, future, attempts, executor))
-                index, future, attempts, executor = in_flight[0]
+                    in_flight.append(((index, attempts), future, None, executor))
+                (index, attempts), future, _, executor = self._await_first(
+                    in_flight
+                )
                 try:
-                    done[index] = self._await_result(future, None)
+                    done[index] = future.result(timeout=0)
                 except (BrokenProcessPool, CancelledError):
-                    in_flight.popleft()
                     if _SHARED.killed(executor):
                         # Another campaign's rebuild or stop terminated
                         # the workers under it: same attempt, no crash.
@@ -668,7 +665,7 @@ class FleetPool:
                     # A worker died, and every call on its executor with
                     # it: replace the executor once, resubmit them all.
                     lost = [(index, attempts)] + [
-                        (e[0], e[2]) for e in in_flight if e[3] is executor
+                        e[0] for e in in_flight if e[3] is executor
                     ]
                     alive = [e for e in in_flight if e[3] is not executor]
                     in_flight.clear()
@@ -681,8 +678,6 @@ class FleetPool:
                             raise
                         self.retries += 1
                         waiting.append((lost_index, lost_attempts + 1))
-                else:
-                    in_flight.popleft()
         except (CampaignCancelled, KeyboardInterrupt):
             self._abandon(in_flight)
             raise
@@ -755,29 +750,25 @@ class FleetPool:
                     )
                     self._executor = executor
                     in_flight.append((pending, future, deadline, executor))
-                pending, future, deadline, executor = in_flight[0]
+                pending, future, _, executor = self._await_first(in_flight)
                 try:
-                    outcome = self._await_result(future, deadline)
+                    outcome = future.result(timeout=0)
                 except (CampaignCancelled, KeyboardInterrupt):
                     raise
                 except FutureTimeout:
-                    in_flight.popleft()
                     self._on_timeout(
                         pending, executor, in_flight, waiting, results
                     )
                 except (BrokenProcessPool, CancelledError):
-                    in_flight.popleft()
                     self._on_broken(
                         pending, executor, in_flight, waiting, results
                     )
                 except Exception as exc:  # noqa: BLE001 — dispatch/pickling
                     # failure for this chunk; its specs get one pool retry.
-                    in_flight.popleft()
                     self._requeue_crashed(
                         pending, waiting, results, _describe(exc)
                     )
                 else:
-                    in_flight.popleft()
                     self._ingest(outcome, results)
         except (CampaignCancelled, KeyboardInterrupt):
             # Stop request or Ctrl-C mid-wave: no chunk of this wave may
@@ -792,34 +783,36 @@ class FleetPool:
             self._forget_executor()
         return [results[spec.index] for spec in specs]
 
-    # Poll slice while waiting on a chunk future: long enough to stay
+    # Poll slice while waiting on in-flight futures: long enough to stay
     # off the hot path, short enough that a stop request (cancel,
     # Ctrl-C relayed from another thread) interrupts a wave promptly.
     _WAIT_SLICE_SECONDS = 0.05
 
-    def _await_result(self, future: Future, deadline: Optional[float]):
-        """Wait for one future, honouring both deadline and stop requests.
+    def _await_first(self, in_flight: Deque[tuple]) -> tuple:
+        """Pop the first ``(item, future, deadline, executor)`` entry whose
+        call finished or whose deadline passed (the oldest if several).
 
-        Equivalent to ``future.result(timeout=remaining)`` except the
-        wait is sliced so :meth:`request_stop` is noticed within
-        ``_WAIT_SLICE_SECONDS`` instead of after the full chunk deadline
-        (which defaults to a minute per spec).  Raises ``FutureTimeout``
-        exactly when the single blocking wait would have.
+        Its ``future.result(timeout=0)`` then returns, raises the call's
+        error, or raises ``FutureTimeout``.  Any finished call frees its
+        slot, not only the oldest, and the sliced wait notices
+        :meth:`request_stop` within ``_WAIT_SLICE_SECONDS``.
         """
         while True:
             self._check_stop()
+            now = time.monotonic()
             wait = self._WAIT_SLICE_SECONDS
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return future.result(timeout=0)
-                wait = min(wait, remaining)
-            try:
-                return future.result(timeout=wait)
-            except FutureTimeout:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
-                continue
+            for entry in in_flight:
+                deadline = entry[2]
+                if entry[1].done() or (deadline is not None and deadline <= now):
+                    in_flight.remove(entry)
+                    return entry
+                if deadline is not None:
+                    wait = min(wait, deadline - now)
+            wait_futures(
+                [entry[1] for entry in in_flight],
+                timeout=wait,
+                return_when=FIRST_COMPLETED,
+            )
 
     # ------------------------------------------------------------------
     # Fault handling

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import CSODConfig, HOTPATH_LEGACY
 from repro.core.runtime import CSODRuntime
 from repro.errors import InvalidFreeError
+from repro.core.evidence import observed_signatures
 from repro.core.sampling import context_signature
 from repro.fleet.pool import execute_spec
 from repro.fleet.specs import ExecutionSpec
@@ -184,13 +185,7 @@ def probe_invariants(
     report.monotonic_violations = _monotonic_violations(traces, config)
     report.detected = runtime.detected
     report.detected_by_watchpoint = runtime.detected_by_watchpoint
-    report.new_evidence = tuple(
-        sorted(
-            context_signature(record.context)
-            for record in sampling.records()
-            if record.overflow_observed
-        )
-    )
+    report.new_evidence = observed_signatures(sampling.records())
     if victim_marker is not None:
         for record in sampling.records():
             signature = context_signature(record.context)

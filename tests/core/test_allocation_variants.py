@@ -34,8 +34,9 @@ def test_realloc_preserves_contents_and_canary(env):
         b = process.heap.realloc(thread, a, 128)
     assert process.machine.memory.read_bytes(b, 32) == b"payload!" * 4
     # The realloc'd object is a fresh CSOD object with its own canary.
-    entry, corrupted = csod.canary.check_object(b)
-    assert not corrupted and entry.object_size == 128
+    slot = csod.canary.slot_of(b)
+    assert not csod.canary.check_slot(slot)
+    assert csod.canary.slot_view(slot).object_size == 128
     process.heap.free(thread, b)
 
 

@@ -8,7 +8,6 @@ from repro.core.canary import CanaryManagementUnit
 from repro.core.config import CSODConfig
 from repro.core.rng import PerThreadRNG
 from repro.core.sampling import SamplingManagementUnit
-from repro.errors import CSODError
 from repro.heap import layout
 from repro.heap.allocator import FreeListAllocator
 from repro.heap.interpose import RawHeap
@@ -58,48 +57,42 @@ def test_object_address_after_header(h):
     assert address == header.real_object_ptr + layout.CSOD_HEADER_SIZE
 
 
+def check(h, address):
+    return h.canary.check_slot(h.canary.slot_of(address))
+
+
 def test_clean_object_checks_clean(h):
     address = h.alloc(64)
-    entry, corrupted = h.canary.check_object(address)
-    assert not corrupted
-    assert entry.object_size == 64
+    assert not check(h, address)
+    assert h.canary.lookup(address).object_size == 64
 
 
 def test_overwrite_detected(h):
     address = h.alloc(64)
     h.machine.memory.write_bytes(address + 64, b"\x00" * 8)
-    _, corrupted = h.canary.check_object(address)
-    assert corrupted
+    assert check(h, address)
     assert h.canary.corruption_count == 1
 
 
 def test_in_bounds_write_not_flagged(h):
     address = h.alloc(64)
     h.machine.memory.write_bytes(address, b"\xaa" * 64)
-    _, corrupted = h.canary.check_object(address)
-    assert not corrupted
+    assert not check(h, address)
 
 
 def test_header_clobber_counts_as_corruption(h):
     """An overflow from the *previous* object can smash our identifier."""
     address = h.alloc(64)
     h.machine.memory.write_word(layout.header_address(address) + 24, 0)
-    _, corrupted = h.canary.check_object(address)
-    assert corrupted
-
-
-def test_check_unknown_object_rejected(h):
-    with pytest.raises(CSODError):
-        h.canary.check_object(0xDEAD)
+    assert check(h, address)
 
 
 def test_release_removes_from_registry(h):
     address = h.alloc(64)
-    entry = h.canary.release(address)
-    assert entry.object_address == address
+    h.canary.release_slot(h.canary.slot_of(address))
     assert h.canary.live_count() == 0
-    with pytest.raises(CSODError):
-        h.canary.release(address)
+    assert h.canary.slot_of(address) is None
+    assert h.canary.lookup(address) is None
 
 
 def test_sweep_finds_all_corruptions(h):
@@ -108,8 +101,12 @@ def test_sweep_finds_all_corruptions(h):
     bad2 = h.alloc(32)
     for address in (bad1, bad2):
         h.machine.memory.write_bytes(address + 32, b"junk-junk")
-    corrupted = {entry.object_address for entry in h.canary.sweep_live()}
-    assert corrupted == {bad1, bad2}
+    corrupted = [
+        h.canary.slot_view(slot).object_address
+        for slot in h.canary.live_slots()
+        if h.canary.check_slot(slot)
+    ]
+    assert corrupted == [bad1, bad2]  # in registry order
 
 
 def test_memalign_wrapping(h):

@@ -32,6 +32,7 @@ from repro.core.sampling import (
     SamplingManagementUnit,
     allocation_transition,
     initial_state,
+    observe,
     watch_transition,
 )
 from repro.core.watchpoints import WatchpointManagementUnit
@@ -144,10 +145,10 @@ class SamplerMachine(RuleBasedStateMachine):
         self.wmu.on_deallocation(address)
 
     @rule(ctx=contexts)
-    def boost_to_certain(self, ctx) -> None:
+    def observe(self, ctx) -> None:
         if ctx not in self.records:
             self._allocate(ctx, watched=False)
-        self.sampling.boost_to_certain(self.records[ctx])
+        observe(self.records[ctx])
         self.pinned.add(ctx)
 
     @invariant()

@@ -6,7 +6,11 @@ from repro.callstack.contexts import ContextInterner
 from repro.callstack.frames import CallSite, CallStack
 from repro.core.config import CSODConfig
 from repro.core.rng import PerThreadRNG
-from repro.core.sampling import SamplingManagementUnit, context_signature
+from repro.core.sampling import (
+    SamplingManagementUnit,
+    context_signature,
+    observe,
+)
 from repro.machine.clock import NANOS_PER_SECOND, VirtualClock
 
 
@@ -80,8 +84,7 @@ def test_probability_never_below_floor():
 def test_should_watch_is_probability_draw():
     unit, _ = make_unit()
     record = unit.on_allocation(stack())
-    record.probability = 1.0
-    record.overflow_observed = True
+    observe(record)
     assert unit.should_watch(record, tid=1)
 
 
@@ -96,7 +99,7 @@ def test_should_watch_statistics():
 def test_boost_to_certain_pins():
     unit, _ = make_unit()
     record = unit.on_allocation(stack())
-    unit.boost_to_certain(record)
+    observe(record)
     assert record.probability == 1.0
     assert record.pinned()
     # Pinned records never degrade again.
@@ -252,7 +255,7 @@ def test_pinned_context_never_throttled():
     unit, clock = make_unit(config)
     s = stack()
     record = unit.on_allocation(s)
-    unit.boost_to_certain(record)
+    observe(record)
     for _ in range(50):
         unit.on_allocation(s)
     assert record.throttled_until_ns == 0

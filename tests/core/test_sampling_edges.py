@@ -21,7 +21,7 @@ from repro.callstack.contexts import ContextInterner
 from repro.callstack.frames import CallSite, CallStack
 from repro.core.config import CSODConfig
 from repro.core.rng import PerThreadRNG
-from repro.core.sampling import SamplingManagementUnit, effective, halve
+from repro.core.sampling import SamplingManagementUnit, effective, halve, observe
 from repro.machine.clock import NANOS_PER_SECOND, VirtualClock
 
 
@@ -85,7 +85,7 @@ def test_clamp_pinned_record_always_returns_one():
     config = CSODConfig()
     unit, clock = make_unit(config)
     record = unit.on_allocation(stack())
-    unit.boost_to_certain(record)
+    observe(record)
     for stored in (0.0001, 0.0):
         record.probability = stored
         assert effective(record, True, clock.now_ns, config) == 1.0
@@ -104,7 +104,7 @@ def test_clamp_caps_at_one_from_above():
 def test_pinned_record_survives_watch_halving():
     unit, _ = make_unit()
     record = unit.on_allocation(stack())
-    unit.boost_to_certain(record)
+    observe(record)
     unit.on_watched(record)
     assert record.probability == 1.0
     assert record.watch_count == 1
@@ -118,7 +118,7 @@ def test_boost_clears_floor_bookkeeping_and_revive_draws():
     record.probability = config.floor_probability
     unit.on_allocation(s)  # floor_since_ns starts ticking
     assert record.floor_since_ns >= 0
-    unit.boost_to_certain(record)
+    observe(record)
     assert record.floor_since_ns == -1
     assert record.throttled_until_ns == 0
     # A pinned record must not consume revive draws: the per-thread

@@ -6,7 +6,7 @@ from repro.callstack.contexts import ContextInterner
 from repro.callstack.frames import CallSite, CallStack
 from repro.core.config import CSODConfig
 from repro.core.rng import PerThreadRNG
-from repro.core.sampling import SamplingManagementUnit
+from repro.core.sampling import SamplingManagementUnit, observe
 from repro.machine.clock import VirtualClock
 
 
@@ -71,7 +71,7 @@ def test_pinned_records_stay_pinned(action_list):
     unit = make_unit()
     context_stacks = stacks(5)
     pinned = unit.on_allocation(context_stacks[0])
-    unit.boost_to_certain(pinned)
+    observe(pinned)
     for index, watched, advance in action_list:
         unit._clock.advance(advance)
         record = unit.on_allocation(context_stacks[index])

@@ -11,6 +11,7 @@ import pytest
 from repro.callstack.frames import CallSite
 from repro.core import CSODConfig, CSODRuntime
 from repro.core.config import HOTPATH_BATCHED, HOTPATH_LEGACY, POLICY_NEAR_FIFO
+from repro.core.sampling import observe
 from repro.workloads.base import SimProcess
 
 
@@ -34,7 +35,7 @@ def test_a_free_never_moves_the_near_fifo_pointer(hotpath):
     # A pinned context: its draws always pass, and every unpinned slot
     # (watch-halved to ~0.25) is weaker.
     strong = malloc(sites[5])
-    runtime.sampling.boost_to_certain(wmu.find_by_object_address(strong).record)
+    observe(wmu.find_by_object_address(strong).record)
     process.heap.free(thread, strong)
 
     a = [malloc(sites[i]) for i in range(4)]  # slots 0-3, by availability

@@ -8,7 +8,7 @@ import pytest
 from repro.callstack.frames import CallSite
 from repro.core import CSODConfig, CSODRuntime
 from repro.core.reporting import SOURCE_EXIT_CANARY
-from repro.core.termination import load_persisted
+from repro.core.evidence import load_persisted
 from repro.errors import SegmentationFault
 from repro.workloads.base import SimProcess
 
@@ -98,10 +98,51 @@ def test_load_persisted_missing_file():
     assert load_persisted(None) == set()
 
 
-def test_load_persisted_garbage_file(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[]",
+        '"x"',
+        "5",
+        '{"version": 1, "contexts": 5}',
+        '{"version": 1, "contexts": "abc"}',
+    ],
+    ids=[
+        "not-json",
+        "list",
+        "string",
+        "number",
+        "number-contexts",
+        "string-contexts",
+    ],
+)
+def test_load_persisted_garbage_file(tmp_path, text):
     path = tmp_path / "garbage.json"
-    path.write_text("{not json")
+    path.write_text(text)
     assert load_persisted(str(path)) == set()
+
+
+def test_runtime_and_store_over_a_non_object_file(tmp_path):
+    from repro.fleet.evidence_store import EvidenceStore
+
+    path = tmp_path / "evidence.json"
+    path.write_text("[]")
+    process = SimProcess(seed=1)
+    runtime = CSODRuntime(
+        process.machine,
+        process.heap,
+        CSODConfig(persistence_path=str(path)),
+        seed=1,
+    )
+    leak_corrupted_object(process)
+    runtime.shutdown()
+    assert len(load_persisted(str(path))) == 1  # rewritten as a document
+    path.write_text("[]")
+    store = EvidenceStore(str(path))
+    assert len(store) == 0
+    assert store.merge(["a"]) == 1
+    assert load_persisted(str(path)) == {"a"}
 
 
 def test_load_persisted_wrong_version(tmp_path):

@@ -7,7 +7,7 @@ from repro.callstack.frames import CallSite, CallStack
 from repro.core.config import CSODConfig, POLICY_NAIVE, POLICY_RANDOM
 from repro.core.policies import slot_probability
 from repro.core.rng import RNG_DRAW_COST_NS, PerThreadRNG
-from repro.core.sampling import SamplingManagementUnit
+from repro.core.sampling import SamplingManagementUnit, observe
 from repro.core.watchpoints import WatchpointManagementUnit
 from repro.machine.clock import NANOS_PER_SECOND
 from repro.machine.machine import Machine
@@ -194,7 +194,7 @@ def test_probabilities_are_read_before_the_random_draw():
     h = Harness(policy=POLICY_RANDOM)  # a charging clock
     slots = [h.watch(h.record(f"slot{i}")) for i in range(4)]
     for watched in slots[:3]:
-        h.sampling.boost_to_certain(watched.record)  # never below a candidate
+        observe(watched.record)  # never below a candidate
     quiet = slots[3]
     quiet.record.probability = 0.4
     candidate = h.record("candidate")

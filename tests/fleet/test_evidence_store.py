@@ -3,7 +3,7 @@
 import json
 import os
 
-from repro.core.termination import load_persisted
+from repro.core.evidence import load_persisted
 from repro.fleet.evidence_store import EvidenceStore, TemporaryEvidenceStore
 
 

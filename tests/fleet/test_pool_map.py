@@ -54,6 +54,12 @@ def sleep_for(seconds):
     return seconds
 
 
+def start_and_end(seconds):
+    started = time.monotonic()
+    time.sleep(seconds)
+    return started, time.monotonic()
+
+
 def _holds_lease(pool):
     return pool._token in pool_mod._SHARED._leases
 
@@ -69,6 +75,17 @@ def test_results_come_back_in_item_order(workers):
         assert pids == {os.getpid()}
     else:
         assert os.getpid() not in pids
+
+
+def test_a_finished_call_frees_its_slot_before_an_older_one_ends():
+    with FleetPool(workers=2) as pool:
+        pool.map(sleep_for, [0.0, 0.0])  # both workers up
+        spans = pool.map(start_and_end, [0.5, 0.0, 0.0, 0.0])
+    # The third call takes the second call's slot while the first runs.
+    assert spans[2][0] < spans[0][1]
+    assert [end - start >= 0.5 for start, end in spans] == [
+        True, False, False, False
+    ]
 
 
 def test_empty_items_return_nothing():

@@ -56,7 +56,7 @@ def test_persistence_file_survives_clean_runs(tmp_path):
 
 def test_overreads_not_persisted_when_missed(tmp_path):
     """Over-reads leave no canary evidence: a missed run records nothing."""
-    from repro.core.termination import load_persisted
+    from repro.core.evidence import load_persisted
 
     for seed in range(30):
         path = str(tmp_path / f"evidence{seed}.json")
@@ -69,7 +69,7 @@ def test_overreads_not_persisted_when_missed(tmp_path):
 
 def test_overread_watchpoint_hit_is_persisted(tmp_path):
     """A watchpoint-detected over-read pins its context and persists it."""
-    from repro.core.termination import load_persisted
+    from repro.core.evidence import load_persisted
 
     for seed in range(30):
         path = str(tmp_path / f"hit{seed}.json")
